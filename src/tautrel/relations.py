@@ -607,7 +607,15 @@ class RelationRegistry:
         self.root.mkdir(parents=True, exist_ok=True)
         lines = ["# convention: glued-half-edges", "# provenance: generated"]
         lines += [format_sum(r) for r in rels]
-        self._path(g, n, k).write_text("\n".join(lines) + "\n")
+        # write beside the target and rename over it, so a crash or a
+        # concurrent writer never leaves a truncated file to be loaded
+        path = self._path(g, n, k)
+        tmp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
+        try:
+            tmp.write_text("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     # -- ambient support --------------------------------------------------
 

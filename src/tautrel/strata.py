@@ -94,12 +94,6 @@ def _vertex_decorations(graph: DecoratedGraph, budget: int, with_kappa: bool):
             slots.append(("end", e))
     results = []
 
-    def kappa_choices(v: int, deg: int):
-        # multisets of positive integers with given total
-        if not with_kappa:
-            return [()] if deg == 0 else []
-        return [tuple(p) for p in _partitions(deg)]
-
     def assign(idx, remaining, psi_of):
         if idx == len(slots):
             if with_kappa:
@@ -122,8 +116,8 @@ def _vertex_decorations(graph: DecoratedGraph, budget: int, with_kappa: bool):
                     yield dict(acc)
                 return
             for d in range(remaining + 1):
-                for part in kappa_choices(vs[i], d):
-                    acc[vs[i]] = part
+                for part in _partitions(d):
+                    acc[vs[i]] = tuple(part)
                     yield from rec(i + 1, remaining - d, acc)
             acc.pop(vs[i], None)
 
@@ -175,8 +169,10 @@ def enumerate_classes(
     """All decorated classes of codimension k on the connected ambient.
 
     ``decorations``: 'none' (boundary strata only), 'psi', or
-    'psi_kappa'.  With ``symmetrize_points`` the list keeps one
-    representative per orbit under permutations of those labels.
+    'psi_kappa'.  With ``symmetrize_points`` the list keeps the member
+    with the smallest ``sort_key`` of each orbit under permutations of
+    those labels.  The orbit key is the canonical form after all those
+    legs take the smallest of their labels, making them interchangeable.
     """
     if decorations not in ("none", "psi", "psi_kappa"):
         raise ValueError("unknown decoration mode %r" % decorations)
@@ -185,9 +181,8 @@ def enumerate_classes(
     if k < 0 or k > 3 * g - 3 + n:
         return []
     found = set()
-    max_edges = k if decorations == "none" else k
     lo_edges = k if decorations == "none" else 0
-    for num_edges in range(lo_edges, max_edges + 1):
+    for num_edges in range(lo_edges, k + 1):
         for graph in stable_graphs(g, n, num_edges):
             if decorations == "none":
                 found.add(graph)
@@ -196,17 +191,12 @@ def enumerate_classes(
                     graph, k - num_edges, decorations == "psi_kappa"
                 ):
                     found.add(canonicalize(dec))
+    found = sorted(found, key=sort_key)
     if symmetrize_points:
         pts = sorted(symmetrize_points)
-        reps = {}
-        for graph in found:
-            orbit = min(
-                (
-                    sort_key(canonicalize(graph.relabel(dict(zip(pts, perm)))))
-                    for perm in itertools.permutations(pts)
-                )
-            )
-            if orbit not in reps or sort_key(graph) < sort_key(reps[orbit]):
-                reps[orbit] = graph
-        found = set(reps.values())
-    return sorted(found, key=sort_key)
+        merged = dict.fromkeys(pts, pts[0])
+        orbits = {}
+        for graph in found:  # sort_key order: each orbit keeps its smallest
+            orbits.setdefault(canonicalize(graph.relabel(merged)), graph)
+        found = list(orbits.values())
+    return found

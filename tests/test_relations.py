@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +333,23 @@ def test_registry_persistence(tmp_path):
     assert text.startswith("# convention: glued-half-edges")
     reloaded = RelationRegistry(tmp_path)
     assert reloaded.relations(0, 4, 1)[: len(rels)] == rels
+
+
+def test_registry_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            RelationRegistry(tmp_path).relations(0, 5, 1)
+    assert list(tmp_path.iterdir()) == []
+    rels = RelationRegistry(tmp_path).relations(0, 5, 1)
+    assert RelationRegistry(tmp_path).relations(0, 5, 1) == rels
+    assert [p.name for p in tmp_path.iterdir()] == ["g0n5k1.gwi"]
 
 
 def test_registry_env_var(tmp_path, monkeypatch):

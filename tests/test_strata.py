@@ -1,0 +1,89 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tautrel.graphs import canonicalize, sort_key, symmetrize
+from tautrel.gwi import format_graph
+from tautrel.strata import enumerate_classes
+
+SRC = Path(__file__).parents[1] / "src"
+
+# (g, n, k, decorations, symmetrized points).  The partial point sets
+# separate "only the symmetrized legs are interchangeable" from "every
+# leg is".
+ORBIT_CASES = [
+    (0, 5, 1, "none", (1, 2, 3, 4, 5)),
+    (0, 5, 2, "psi", (1, 2, 3, 4, 5)),
+    (0, 6, 2, "psi_kappa", (1, 2, 3, 4, 5, 6)),
+    (1, 3, 2, "psi_kappa", (1, 2, 3)),
+    (1, 4, 2, "none", (1, 2, 3, 4)),
+    (1, 4, 2, "psi", (1, 2, 3, 4)),
+    (1, 4, 3, "psi", (2, 3, 4)),
+    (0, 6, 3, "psi", (1, 2, 4, 5)),
+    (2, 2, 2, "psi_kappa", (1, 2)),
+    (1, 2, 3, "psi_kappa", (1, 2)),
+    (2, 1, 3, "psi", (1,)),
+]
+
+
+def _orbit_reps_by_scan(classes, pts):
+    """Reference orbit representatives: key every class by the smallest
+    sort_key over all |pts|! relabellings, keep the smallest member."""
+    reps = {}
+    for graph in classes:
+        orbit = min(
+            sort_key(canonicalize(graph.relabel(dict(zip(pts, perm)))))
+            for perm in itertools.permutations(pts)
+        )
+        if orbit not in reps or sort_key(graph) < sort_key(reps[orbit]):
+            reps[orbit] = graph
+    return sorted(reps.values(), key=sort_key)
+
+
+@pytest.mark.parametrize("g,n,k,decorations,pts", ORBIT_CASES)
+def test_orbit_reps_match_permutation_scan(g, n, k, decorations, pts):
+    reps = enumerate_classes(g, n, k, decorations=decorations, symmetrize_points=pts)
+    full = enumerate_classes(g, n, k, decorations=decorations)
+    expected = _orbit_reps_by_scan(full, pts)
+    assert [format_graph(r) for r in reps] == [format_graph(r) for r in expected]
+
+
+@pytest.mark.parametrize("g,n,k,decorations,pts", ORBIT_CASES)
+def test_orbits_partition_the_classes(g, n, k, decorations, pts):
+    reps = enumerate_classes(g, n, k, decorations=decorations, symmetrize_points=pts)
+    full = set(enumerate_classes(g, n, k, decorations=decorations))
+    covered = set()
+    for rep in reps:
+        support = {graph for graph, _ in symmetrize(rep, pts).terms()}
+        assert not support & covered, format_graph(rep)
+        covered |= support
+    assert covered == full
+
+
+def _run_cli(argv, cwd, hashseed):
+    env = {k: v for k, v in os.environ.items() if k != "TAUT_REGISTRY_DIR"}
+    env["PYTHONHASHSEED"] = str(hashseed)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from tautrel.cli import main; sys.exit(main())", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    runs = []
+    for hashseed in (1, 2):
+        cwd = tmp_path / ("seed%d" % hashseed)
+        cwd.mkdir()
+        listing = _run_cli(["enumerate", "-g", "0", "-n", "6", "-k", "2", "--symmetrize"], cwd, hashseed)
+        report = _run_cli(["find", "-g", "1", "-n", "4", "-k", "2", "--boundary-only", "--out", "cand"], cwd, hashseed)
+        files = {p.name: p.read_bytes() for p in sorted((cwd / "cand").iterdir())}
+        runs.append((listing, report, files))
+    assert runs[0][2], "find wrote no candidate file"
+    assert runs[0] == runs[1]
