@@ -156,9 +156,13 @@ def cmd_check(args) -> int:
     if fs.is_zero():
         print("EMPTY (zero sum is vacuously invariant)")
         return EXIT_OK
-    g, n = fs.terms()[0][0].ambient()
-    k = fs.terms()[0][0].codimension()
-    lmax = args.lmax if args.lmax is not None else operator_index_bound(g, n, k)
+    ambients = {(t.total_genus(), t.external_labels(), t.codimension()) for t, _ in fs.terms()}
+    ambients = sorted(ambients)
+    if len(ambients) > 1:
+        print("error: mixed (genus, labels, codim) ambients %s" % ambients, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    (g, labels, k), = ambients
+    lmax = args.lmax if args.lmax is not None else operator_index_bound(g, len(labels), k)
     try:
         reports = check_invariance(fs, range(1, lmax + 1), registry)
     except InductiveDataMissing as exc:

@@ -219,6 +219,16 @@ class DecoratedGraph:
         )
         return DecoratedGraph(self.vertices, legs, self.edges)
 
+    def __hash__(self) -> int:
+        # graphs key every cache and sum: hash the nested tuples once
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.vertices, self.legs, self.edges))
+        return self.__dict__["_hash"]
+
+    def __reduce__(self):
+        # rebuild from the fields: a cached hash holds for one hash seed only
+        return DecoratedGraph, (self.vertices, self.legs, self.edges)
+
     def __repr__(self) -> str:
         from .gwi import format_graph
 
@@ -291,7 +301,22 @@ def validate(g: DecoratedGraph) -> list[str]:
 
 
 def is_valid(g: DecoratedGraph) -> bool:
-    return not validate(g)
+    """``not validate(g)`` in one pass, without building messages."""
+    if len({l.label for l in g.legs}) != len(g.legs):
+        return False
+    valence = [0] * g.n_vertices
+    dims = [3 * v.genus - 3 - v.kappa_degree for v in g.vertices]
+    for v, psi in [(l.vertex, l.psi) for l in g.legs] + [end for e in g.edges for end in e]:
+        if psi < 0:
+            return False
+        valence[v] += 1
+        dims[v] += 1 - psi
+    for v, val in zip(g.vertices, valence):
+        if v.genus < 0 or 2 * v.genus - 2 + val <= 0 or any(a < 1 for a in v.kappa):
+            return False
+    return min(dims, default=0) >= 0 or all(
+        sum(dims[v] for v in comp) >= 0 for comp in g.components()
+    )
 
 
 def total_genus(g: DecoratedGraph) -> int:

@@ -137,22 +137,44 @@ def split_vertices(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
     terms = []
     for v in range(g.n_vertices):
         vert = g.vertices[v]
-        leg_idx = [k for k, leg in enumerate(g.legs) if leg.vertex == v]
-        end_idx = g.ends_at(v)
-        slots = [("leg", k) for k in leg_idx] + [("end", e) for e in end_idx]
+        assignments = _side_assignments(g, v)
+        kappas = list(_kappa_splits(vert.kappa))
         for m in range(l):
             coeff = HALF * (-1) ** (m + 1)
             for g1 in range(vert.genus + 1):
                 g2 = vert.genus - g1
-                for sides in itertools.product((0, 1), repeat=len(slots)):
-                    side_of = dict(zip(slots, sides))
-                    for k1, k2 in _kappa_splits(vert.kappa):
+                for side_of, count, psi in assignments:
+                    for k1, k2 in kappas:
+                        # skip unbuilt what _retained rejects for either side
+                        if not (
+                            _side_ok(g1, count[0] + 1, psi[0] + l - 1 - m + sum(k1))
+                            and _side_ok(g2, count[1] + 1, psi[1] + m + sum(k2))
+                        ):
+                            continue
                         split = _apply_split(
                             g, v, g1, g2, k1, k2, side_of,
                             (Leg(0, i, l - 1 - m), Leg(0, j, m)),
                         )
                         terms.append((split, coeff))
     return _filtered(terms)
+
+
+def _side_assignments(g: DecoratedGraph, v: int):
+    """Every assignment of the half-edge slots at vertex v to sides 0
+    and 1, as (side_of, slots per side, psi sum per side)."""
+    slots = [("leg", k) for k, leg in enumerate(g.legs) if leg.vertex == v]
+    slots += [("end", e) for e in g.ends_at(v)]
+    psis = [g.legs[r].psi if kind == "leg" else g.edges[r[0]][r[1]].psi for kind, r in slots]
+    out = []
+    for sides in itertools.product((0, 1), repeat=len(slots)):
+        n1, psi1 = sum(sides), sum(p for p, s in zip(psis, sides) if s)
+        out.append((dict(zip(slots, sides)), (len(slots) - n1, n1), (sum(psis) - psi1, psi1)))
+    return out
+
+
+def _side_ok(genus: int, valence: int, degree: int) -> bool:
+    """Stable and nonnegative-dimensional with this genus, valence and degree."""
+    return 2 * genus - 2 + valence > 0 and 3 * genus - 3 + valence >= degree
 
 
 def _apply_split(g, v, g1, g2, k1, k2, side_of, new_legs):

@@ -548,6 +548,7 @@ class RelationRegistry:
         self._tables: dict[tuple[int, int, int], _Table] = {}
         self._relations: dict[tuple[int, int, int], list[FormalSum]] = {}
         self._extra: dict[tuple[int, int, int], list[FormalSum]] = {}
+        self._factors: dict[tuple[DecoratedGraph, bool], tuple] = {}
 
     # -- relation generation -------------------------------------------
 
@@ -671,22 +672,7 @@ class RelationRegistry:
         out: dict = {}
         for graph, coeff in terms:
             for flat, frac in psi_free_expansion(canonicalize(graph)):
-                factors = []
-                for comp in flat.component_graphs():
-                    labels = comp.external_labels()
-                    relab = {lab: i + 1 for i, lab in enumerate(labels)}
-                    cn = canonicalize(comp.relabel(relab))
-                    amb = (comp.total_genus(), len(labels), comp.codimension())
-                    table = self._table(*amb, allow_incomplete=allow_incomplete)
-                    if cn not in table.index:
-                        raise InductiveDataMissing(
-                            amb, "class outside the generated ambient (kappa?)"
-                        )
-                    red = table.reduce_map[table.index[cn]]
-                    factors.append(
-                        [((amb[0], labels, amb[2], b), red[b]) for b in sorted(red)]
-                    )
-                for combo in itertools.product(*factors):
+                for combo in itertools.product(*self._flat_factors(flat, allow_incomplete)):
                     key = tuple(sorted(part for part, _ in combo))
                     f = frac
                     for _, x in combo:
@@ -697,6 +683,30 @@ class RelationRegistry:
                     else:
                         out[key] = piece
         return {k: c for k, c in out.items() if c}
+
+    def _flat_factors(self, flat: DecoratedGraph, allow_incomplete: bool):
+        """Per connected component of a psi-free graph, its reduced
+        coordinates as ((genus, labels, codim, basis index), coeff);
+        memoised on success, so a refusal is raised every time."""
+        key = (flat, allow_incomplete)
+        if key not in self._factors:
+            factors = []
+            for comp in flat.component_graphs():
+                labels = comp.external_labels()
+                relab = {lab: i + 1 for i, lab in enumerate(labels)}
+                cn = canonicalize(comp.relabel(relab))
+                amb = (comp.total_genus(), len(labels), comp.codimension())
+                table = self._table(*amb, allow_incomplete=allow_incomplete)
+                if cn not in table.index:
+                    raise InductiveDataMissing(
+                        amb, "class outside the generated ambient (kappa?)"
+                    )
+                red = table.reduce_map[table.index[cn]]
+                factors.append(
+                    tuple(((amb[0], labels, amb[2], b), red[b]) for b in sorted(red))
+                )
+            self._factors[key] = tuple(factors)
+        return self._factors[key]
 
     def normal_form(self, e, allow_incomplete: bool = False) -> NormalForm:
         if isinstance(e, SymbolicSum):

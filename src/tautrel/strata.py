@@ -16,7 +16,6 @@ produced.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .graphs import (
@@ -27,7 +26,7 @@ from .graphs import (
     canonicalize,
     sort_key,
 )
-from .operators import _apply_split
+from .operators import _apply_split, _side_assignments, _side_ok
 
 
 def _one_edge_degenerations(g: DecoratedGraph):
@@ -41,13 +40,12 @@ def _one_edge_degenerations(g: DecoratedGraph):
             edges = list(g.edges) + [(End(v, 0), End(v, 0))]
             out.append(DecoratedGraph(tuple(verts), g.legs, tuple(edges)))
         # separating: split the vertex, join the halves by an edge
-        leg_idx = [k for k, leg in enumerate(g.legs) if leg.vertex == v]
-        end_idx = g.ends_at(v)
-        slots = [("leg", k) for k in leg_idx] + [("end", e) for e in end_idx]
+        assignments = _side_assignments(g, v)
         for g1 in range(vert.genus + 1):
             g2 = vert.genus - g1
-            for sides in itertools.product((0, 1), repeat=len(slots)):
-                side_of = dict(zip(slots, sides))
+            for side_of, count, _ in assignments:
+                if not (_side_ok(g1, count[0] + 1, 0) and _side_ok(g2, count[1] + 1, 0)):
+                    continue
                 split = _split_with_edge(g, v, g1, g2, side_of)
                 if all(split.is_stable_vertex(u) for u in range(split.n_vertices)):
                     out.append(split)

@@ -83,6 +83,20 @@ def random_stable_graph(rng: random.Random, max_half_edges=8, max_genus=2,
     raise RuntimeError("random generator failed to produce a valid graph")
 
 
+def small_strata():
+    """Every connected stable graph with 2g + n <= 6, all edge counts."""
+    from tautrel.strata import stable_graphs
+
+    return [
+        graph
+        for g in range(4)
+        for n in range(7 - 2 * g)
+        if 2 * g - 2 + n > 0
+        for e in range(3 * g - 3 + n + 1)
+        for graph in stable_graphs(g, n, e)
+    ]
+
+
 @pytest.fixture(scope="session")
 def random_corpus():
     rng = random.Random(20240517)

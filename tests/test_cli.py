@@ -1,6 +1,8 @@
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from tautrel.cli import main
 from tautrel.gwi import format_sum, parse_graph, parse_sum
 from tautrel.graphs import symmetrize
@@ -106,6 +108,19 @@ def test_check_bad_file_exit_2(tmp_path, capsys):
     f.write_text("<1 2 e0>_0\n")  # unpaired internal name
     code, _, err = run(capsys, "check", str(f))
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "<1 2 3 4>_0 + <1 2 e0>_0 <3 4 e0>_0",  # codimensions 0 and 1
+    "<1 2 3 4>_0 + <1 2 3 5>_0",  # label sets {1,2,3,4} and {1,2,3,5}
+])
+def test_check_inhomogeneous_exit_2(tmp_path, capsys, text):
+    f = tmp_path / "mixed.gwi"
+    f.write_text(text + "\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2
+    assert "mixed" in err and "(0, (1, 2, 3, 4)," in err
+    assert "vacuously" not in out
 
 
 def test_reduce_trivial_combination_prints_zero(tmp_path, capsys):

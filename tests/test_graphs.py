@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from tautrel.graphs import (
     canonicalize,
     dimension,
     is_isomorphic,
+    is_valid,
     symmetrize,
     total_genus,
     validate,
@@ -66,6 +68,73 @@ def test_validate_example_graph_ok():
 def test_validate_duplicate_labels():
     g = DecoratedGraph((Vertex(1),), (Leg(0, 1), Leg(0, 1)))
     assert any("duplicate" in p for p in validate(g))
+
+
+# graphs breaking one invariant each, and whether they are valid
+INVARIANT_CASES = {
+    "negative genus": (DecoratedGraph((Vertex(-1),), tuple(Leg(0, i) for i in range(1, 6))), False),
+    "negative leg psi": (DecoratedGraph((Vertex(0),), (Leg(0, 1, -1), Leg(0, 2), Leg(0, 3), Leg(0, 4))), False),
+    "negative edge psi": (DecoratedGraph(
+        (Vertex(0), Vertex(0)), (Leg(0, 1), Leg(0, 2), Leg(1, 3), Leg(1, 4)), ((End(0, -1), End(1)),)
+    ), False),
+    "kappa_0": (DecoratedGraph((Vertex(1, (0,)),), (Leg(0, 1),)), False),
+    "duplicate labels": (DecoratedGraph((Vertex(1),), (Leg(0, 1), Leg(0, 1))), False),
+    "unstable vertex": (parse_graph("<1 2 e0>_0 <e0>_0"), False),
+    "negative component": (parse_graph("<1^2 2 3>_0 <4 5 e0>_0 <e0>_1"), False),
+    # valid, though the first vertex exceeds its own dimension: the
+    # operators' stricter filter drops it, validate does not
+    "negative vertex in a nonnegative component": (parse_graph("<1^1 2 e0>_0 <3 4 5 e0>_0"), True),
+    "empty": (DecoratedGraph(()), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CASES))
+def test_is_valid_agrees_with_validate(name):
+    g, valid = INVARIANT_CASES[name]
+    assert is_valid(g) == (not validate(g)) == valid
+
+
+def _mutations(g):
+    """Single-field perturbations of g that may break an invariant."""
+    for v, vert in enumerate(g.vertices):
+        for dg in (-1, 1):
+            verts = list(g.vertices)
+            verts[v] = Vertex(vert.genus + dg, vert.kappa)
+            yield DecoratedGraph(tuple(verts), g.legs, g.edges)
+        verts = list(g.vertices)
+        verts[v] = Vertex(vert.genus, vert.kappa + (0,))
+        yield DecoratedGraph(tuple(verts), g.legs, g.edges)
+    for k, leg in enumerate(g.legs):
+        for dp in (-1, 2):
+            legs = list(g.legs)
+            legs[k] = Leg(leg.vertex, leg.label, leg.psi + dp)
+            yield DecoratedGraph(g.vertices, tuple(legs), g.edges)
+        yield DecoratedGraph(g.vertices, g.legs[:k] + g.legs[k + 1:], g.edges)
+        yield DecoratedGraph(g.vertices, g.legs + (Leg(leg.vertex, leg.label),), g.edges)
+    for k, (a, b) in enumerate(g.edges):
+        edges = list(g.edges)
+        edges[k] = (End(a.vertex, a.psi - 1), b)
+        yield DecoratedGraph(g.vertices, g.legs, tuple(edges))
+
+
+def test_is_valid_agrees_with_validate_on_random_graphs():
+    rng = random.Random(4242)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        g = random_stable_graph(rng)
+        for h in (g, *_mutations(g)):
+            assert is_valid(h) == (not validate(h)), h
+            seen[is_valid(h)] += 1
+    assert min(seen.values()) > 100
+
+
+def test_hash_cache_not_pickled():
+    g = parse_graph(EX)
+    hash(g)
+    state = pickle.dumps(g)
+    assert b"_hash" not in state
+    h = pickle.loads(state)
+    assert h == g and hash(h) == hash(g)
 
 
 def test_canonicalize_internal_relabel():

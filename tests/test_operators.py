@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,14 +7,20 @@ import pytest
 from tautrel.graphs import DecoratedGraph, Leg, Vertex, dimension
 from tautrel.gwi import parse_graph, parse_sum
 from tautrel.operators import (
+    HALF,
     AmbientMismatchError,
     LabelCollisionError,
+    _apply_split,
+    _filtered,
+    _kappa_splits,
     apply_r,
     cut_edges,
     reduce_genus,
     split_vertices,
 )
 from tautrel.sums import FormalSum, LinForm, SymbolicSum
+
+from conftest import random_stable_graph, small_strata
 
 EX = parse_graph("<1 2 e0>_0 <3 4 e1>_0 <e0 e1>_1")
 
@@ -167,3 +175,43 @@ def test_parity_on_corpus(random_corpus):
         for l in (1, 2):
             out = apply_r(FormalSum.single(g), l)
             assert out.relabel(swap) == out.scale(Fraction((-1) ** (l - 1)))
+
+
+def _split_vertices_unpruned(g, l, i, j):
+    """Reference: every split of every vertex built, then filtered."""
+    terms = []
+    for v in range(g.n_vertices):
+        vert = g.vertices[v]
+        slots = [("leg", k) for k, leg in enumerate(g.legs) if leg.vertex == v]
+        slots += [("end", e) for e in g.ends_at(v)]
+        for m in range(l):
+            coeff = HALF * (-1) ** (m + 1)
+            for g1 in range(vert.genus + 1):
+                for sides in itertools.product((0, 1), repeat=len(slots)):
+                    side_of = dict(zip(slots, sides))
+                    for k1, k2 in _kappa_splits(vert.kappa):
+                        split = _apply_split(
+                            g, v, g1, vert.genus - g1, k1, k2, side_of,
+                            (Leg(0, i, l - 1 - m), Leg(0, j, m)),
+                        )
+                        terms.append((split, coeff))
+    return _filtered(terms)
+
+
+def test_pruned_split_matches_reference_on_random_graphs():
+    rng = random.Random(3)
+    for _ in range(60):
+        g = random_stable_graph(rng)
+        n = len(g.legs)
+        for l in (1, 2, 3):
+            assert split_vertices(g, l, n + 1, n + 2) == _split_vertices_unpruned(g, l, n + 1, n + 2), g
+
+
+def test_pruned_split_matches_reference_on_small_strata():
+    # l = 1 only: l = 2, 3 take four times as long here and are
+    # covered on the random graphs
+    graphs = small_strata()
+    assert len(graphs) == 600
+    for g in graphs:
+        n = len(g.legs)
+        assert split_vertices(g, 1, n + 1, n + 2) == _split_vertices_unpruned(g, 1, n + 1, n + 2), g

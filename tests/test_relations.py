@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,56 @@ def test_genus1_divisor_ranks(registry):
     assert len(registry.relation_basis(1, 3, 1).basis) == 5
 
 
+def _keel_poincare(n):
+    """Poincare polynomial of M_{0,n}, the coefficient of t^k being
+    the rank of H^{2k}, by Keel's recursion (Trans. AMS 330, 1992): P_3 = 1 and
+    P_{m+1} = (1+t) P_m + (t/2) sum_{j=2}^{m-2} C(m,j) P_{j+1} P_{m-j+1}."""
+    P = {3: [Fraction(1)]}
+
+    def add(a, b, shift=0, scale=1):
+        out = list(a) + [Fraction(0)] * max(0, len(b) + shift - len(a))
+        for i, x in enumerate(b):
+            out[i + shift] += scale * x
+        return out
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for m in range(3, n):
+        nxt = add(P[m], P[m], shift=1)
+        for j in range(2, m - 1):
+            nxt = add(nxt, mul(P[j + 1], P[m - j + 1]), shift=1, scale=Fraction(comb(m, j), 2))
+        P[m + 1] = nxt
+    assert all(x.denominator == 1 for x in P[n])
+    return [int(x) for x in P[n]]
+
+
+def test_keel_recursion_known_values():
+    assert _keel_poincare(5) == [1, 5, 1]
+    assert _keel_poincare(6) == [1, 16, 16, 1]
+    assert _keel_poincare(7) == [1, 42, 127, 42, 1]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_genus0_basis_sizes_are_betti_numbers(registry, n):
+    # n = 7 agrees as well (42, 127) but takes about 27 s over all k
+    betti = _keel_poincare(n)
+    assert len(betti) == n - 2
+    for k, b in enumerate(betti):
+        assert len(registry.relation_basis(0, n, k).basis) == b, (n, k)
+
+
+@pytest.mark.parametrize("n,betti", [(1, [1, 1]), (2, [1, 2, 1]), (3, [1, 5, 5, 1])])
+def test_genus1_basis_sizes_are_betti_numbers(registry, n, betti):
+    # Getzler's Poincare polynomials of M_{1,n} for n <= 3
+    for k, b in enumerate(betti):
+        assert len(registry.relation_basis(1, n, k).basis) == b, (n, k)
+
+
 def test_relation_basis_deterministic(registry):
     fresh = RelationRegistry()
     a = registry.relation_basis(0, 5, 2)
@@ -317,6 +368,18 @@ def test_incomplete_genus_one_ambient_guarded(registry):
     # the induced quotient is still available on request
     nf = registry.normal_form(cls, allow_incomplete=True)
     assert not nf.is_zero()
+
+
+def test_memoised_factors_keep_refusing():
+    # the reduced factors are memoised per (graph, allow_incomplete) and
+    # only on success: the complete-data request refuses every time
+    reg = RelationRegistry()
+    cls = FormalSum.single(parse_graph("<1 2 e0>_0 <3 4 e1>_0 <e0 e1>_1"))
+    nf = reg.normal_form(cls, allow_incomplete=True)
+    for _ in range(2):
+        with pytest.raises(InductiveDataMissing):
+            reg.normal_form(cls)
+    assert reg.normal_form(cls, allow_incomplete=True) == nf
 
 
 def test_kappa_class_not_reducible(registry):
