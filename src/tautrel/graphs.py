@@ -219,16 +219,6 @@ class DecoratedGraph:
         )
         return DecoratedGraph(self.vertices, legs, self.edges)
 
-    def __hash__(self) -> int:
-        # graphs key every cache and sum: hash the nested tuples once
-        if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((self.vertices, self.legs, self.edges))
-        return self.__dict__["_hash"]
-
-    def __reduce__(self):
-        # rebuild from the fields: a cached hash holds for one hash seed only
-        return DecoratedGraph, (self.vertices, self.legs, self.edges)
-
     def __repr__(self) -> str:
         from .gwi import format_graph
 
@@ -265,58 +255,52 @@ def validate(g: DecoratedGraph) -> list[str]:
     vertex, and nonnegative decorated dimension of every connected
     component.  Never raises.
     """
-    problems = []
-    for i, v in enumerate(g.vertices):
-        if v.genus < 0:
-            problems.append("vertex %d has negative genus %d" % (i, v.genus))
-        for a in v.kappa:
-            if a < 1:
-                problems.append("vertex %d has kappa subscript %d < 1" % (i, a))
-    labels = [l.label for l in g.legs]
-    if len(set(labels)) != len(labels):
-        dup = sorted({x for x in labels if labels.count(x) > 1})
-        problems.append("duplicate external labels %s" % (dup,))
-    for l in g.legs:
-        if l.psi < 0:
-            problems.append("negative psi power on external %d" % l.label)
-    for e in g.edges:
-        if e[0].psi < 0 or e[1].psi < 0:
-            problems.append("negative psi power on an edge end")
-    for v in range(g.n_vertices):
-        gv = g.vertices[v].genus
-        val = g.valence(v)
-        if gv >= 0 and not 2 * gv - 2 + val > 0:
-            problems.append(
-                "unstable vertex %d: 2*%d-2+%d = %d is not > 0"
-                % (v, gv, val, 2 * gv - 2 + val)
-            )
-    if not problems:
-        for comp in g.components():
-            d = sum(g.vertex_dimension(v) for v in comp)
-            if d < 0:
-                problems.append(
-                    "component %s has dimension %d < 0" % (list(comp), d)
-                )
-    return problems
+    return [fmt % args for fmt, args in _problems(g)]
 
 
 def is_valid(g: DecoratedGraph) -> bool:
-    """``not validate(g)`` in one pass, without building messages."""
-    if len({l.label for l in g.legs}) != len(g.legs):
-        return False
+    return not _problems(g)
+
+
+def _problems(g: DecoratedGraph) -> list[tuple[str, tuple]]:
+    """The invariants :func:`validate` checks, as unformatted messages.
+
+    One pass over the half-edges gives every valence and vertex
+    dimension; component dimensions are summed only when nothing else
+    fails and some vertex dimension is negative.
+    """
     valence = [0] * g.n_vertices
     dims = [3 * v.genus - 3 - v.kappa_degree for v in g.vertices]
     for v, psi in [(l.vertex, l.psi) for l in g.legs] + [end for e in g.edges for end in e]:
-        if psi < 0:
-            return False
         valence[v] += 1
         dims[v] += 1 - psi
-    for v, val in zip(g.vertices, valence):
-        if v.genus < 0 or 2 * v.genus - 2 + val <= 0 or any(a < 1 for a in v.kappa):
-            return False
-    return min(dims, default=0) >= 0 or all(
-        sum(dims[v] for v in comp) >= 0 for comp in g.components()
-    )
+    problems = []
+    for i, v in enumerate(g.vertices):
+        if v.genus < 0:
+            problems.append(("vertex %d has negative genus %d", (i, v.genus)))
+        for a in v.kappa:
+            if a < 1:
+                problems.append(("vertex %d has kappa subscript %d < 1", (i, a)))
+    labels = [l.label for l in g.legs]
+    if len(set(labels)) != len(labels):
+        dup = sorted({x for x in labels if labels.count(x) > 1})
+        problems.append(("duplicate external labels %s", (dup,)))
+    for l in g.legs:
+        if l.psi < 0:
+            problems.append(("negative psi power on external %d", (l.label,)))
+    for e in g.edges:
+        if e[0].psi < 0 or e[1].psi < 0:
+            problems.append(("negative psi power on an edge end", ()))
+    for i, (v, val) in enumerate(zip(g.vertices, valence)):
+        if v.genus >= 0 and not 2 * v.genus - 2 + val > 0:
+            problems.append((
+                "unstable vertex %d: 2*%d-2+%d = %d is not > 0",
+                (i, v.genus, val, 2 * v.genus - 2 + val),
+            ))
+    if problems or min(dims, default=0) >= 0:
+        return problems
+    comp_dims = [(list(comp), sum(dims[v] for v in comp)) for comp in g.components()]
+    return [("component %s has dimension %d < 0", cd) for cd in comp_dims if cd[1] < 0]
 
 
 def total_genus(g: DecoratedGraph) -> int:

@@ -26,7 +26,7 @@ from .graphs import (
     canonicalize,
     sort_key,
 )
-from .operators import _apply_split, _side_assignments, _side_ok
+from .operators import _apply_split, _side_assignments
 
 
 def _one_edge_degenerations(g: DecoratedGraph):
@@ -44,7 +44,8 @@ def _one_edge_degenerations(g: DecoratedGraph):
         for g1 in range(vert.genus + 1):
             g2 = vert.genus - g1
             for side_of, count, _ in assignments:
-                if not (_side_ok(g1, count[0] + 1, 0) and _side_ok(g2, count[1] + 1, 0)):
+                # each half keeps its slots plus one end of the new edge
+                if 2 * g1 - 1 + count[0] <= 0 or 2 * g2 - 1 + count[1] <= 0:
                     continue
                 split = _split_with_edge(g, v, g1, g2, side_of)
                 if all(split.is_stable_vertex(u) for u in range(split.n_vertices)):

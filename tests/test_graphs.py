@@ -1,5 +1,4 @@
 import itertools
-import pickle
 import random
 
 import pytest
@@ -126,15 +125,6 @@ def test_is_valid_agrees_with_validate_on_random_graphs():
             assert is_valid(h) == (not validate(h)), h
             seen[is_valid(h)] += 1
     assert min(seen.values()) > 100
-
-
-def test_hash_cache_not_pickled():
-    g = parse_graph(EX)
-    hash(g)
-    state = pickle.dumps(g)
-    assert b"_hash" not in state
-    h = pickle.loads(state)
-    assert h == g and hash(h) == hash(g)
 
 
 def test_canonicalize_internal_relabel():
