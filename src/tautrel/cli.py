@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .graphs import validate
-from .gwi import GwiParseError, format_graph, format_sum, parse_sum
+from .gwi import GwiParseError, format_graph, format_sum, read_file
 from .relations import InductiveDataMissing, RelationRegistry
 from .solver import (
     check_invariance,
@@ -21,6 +21,7 @@ from .solver import (
     find_equations,
     operator_index_bound,
 )
+from .sums import FormalSum
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -134,11 +135,11 @@ def cmd_find(args) -> int:
 
 
 def _load_sum(path: str):
-    text = Path(path).read_text()
-    body = " + ".join(
-        line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")
-    )
-    fs = parse_sum(body)
+    # the lines of the file are the terms of one sum
+    _, sums = read_file(Path(path))
+    if not sums:
+        raise GwiParseError("%s: no sum in the file" % path)
+    fs = sum(sums, FormalSum())
     for graph, _ in fs.terms():
         bad = validate(graph)
         if bad:

@@ -6,15 +6,10 @@ from .sums import FormalSum
 
 
 def _load(name: str) -> FormalSum:
-    from .gwi import parse_sum
+    from .gwi import read_file
 
-    text = resources.files("tautrel.data").joinpath(name).read_text()
-    body = " + ".join(
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    )
-    return parse_sum(body)
+    _, sums = read_file(resources.files("tautrel.data").joinpath(name))
+    return sum(sums, FormalSum())
 
 
 def genus1_four_point_equation() -> FormalSum:

@@ -148,15 +148,10 @@ class DecoratedGraph:
 
     def vertex_dimension(self, v: int) -> int:
         """Dimension of the decorated vertex moduli factor."""
-        vert = self.vertices[v]
-        dim = 3 * vert.genus - 3 + self.valence(v) - vert.kappa_degree
-        dim -= sum(l.psi for l in self.legs_at(v))
-        for i, side in self.ends_at(v):
-            dim -= self.edges[i][side].psi
-        return dim
+        return _valences_and_dimensions(self)[1][v]
 
     def dimension(self) -> int:
-        return sum(self.vertex_dimension(v) for v in range(self.n_vertices))
+        return sum(_valences_and_dimensions(self)[1])
 
     def ambient(self) -> tuple[int, int]:
         """Total (genus, number of external half-edges)."""
@@ -243,6 +238,88 @@ def disjoint_union(graphs: Iterable[DecoratedGraph]) -> DecoratedGraph:
     return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
 
 
+def _valences_and_dimensions(g: DecoratedGraph) -> tuple[list[int], list[int]]:
+    """Valence and decorated dimension of every vertex, from one pass
+    over the half-edges."""
+    valence = [0] * g.n_vertices
+    dims = [3 * v.genus - 3 - v.kappa_degree for v in g.vertices]
+    for v, psi in [(l.vertex, l.psi) for l in g.legs] + [end for e in g.edges for end in e]:
+        valence[v] += 1
+        dims[v] += 1 - psi
+    return valence, dims
+
+
+# ---------------------------------------------------------------------------
+# half-edge surgery
+#
+# A slot names one half-edge of a graph: ("leg", k) is ``g.legs[k]`` and
+# ("end", (i, side)) is end ``side`` of ``g.edges[i]``.  Sorted, ends
+# come before legs; the psi rewrites in ``relations`` choose slots and
+# reference pairs in that order.
+
+
+def _slots_at(g: DecoratedGraph, v: int) -> list[tuple[tuple, int]]:
+    """The slots at vertex v with their psi powers, legs first."""
+    out = [(("leg", k), l.psi) for k, l in enumerate(g.legs) if l.vertex == v]
+    out += [
+        (("end", (i, side)), end.psi)
+        for i, e in enumerate(g.edges)
+        for side, end in enumerate(e)
+        if end.vertex == v
+    ]
+    return out
+
+
+def _rewire(g: DecoratedGraph, vertices, move=None, psi=None, legs=(), edges=()):
+    """``g`` with the vertex tuple ``vertices``, every slot in ``move``
+    sent to the vertex it maps to, the psi power of every slot in
+    ``psi`` shifted by the amount it maps to, and ``legs`` and
+    ``edges`` added.  The slots name half-edges of ``g`` itself."""
+    move = move or {}
+    psi = psi or {}
+    new_legs = [
+        Leg(move.get(("leg", k), l.vertex), l.label, l.psi + psi.get(("leg", k), 0))
+        for k, l in enumerate(g.legs)
+    ]
+    new_edges = []
+    for i, (a, b) in enumerate(g.edges):
+        sa, sb = ("end", (i, 0)), ("end", (i, 1))
+        new_edges.append((
+            End(move.get(sa, a.vertex), a.psi + psi.get(sa, 0)),
+            End(move.get(sb, b.vertex), b.psi + psi.get(sb, 0)),
+        ))
+    return DecoratedGraph(
+        tuple(vertices), tuple(new_legs) + tuple(legs), tuple(new_edges) + tuple(edges)
+    )
+
+
+def _side_assignments(g: DecoratedGraph, v: int):
+    """Every assignment of the slots at vertex v to sides 0 and 1, as
+    (move, slots per side, psi sum per side); ``move`` sends the
+    side-1 slots to a new vertex appended at index ``g.n_vertices``."""
+    slots = _slots_at(g, v)
+    total = sum(p for _, p in slots)
+    out = []
+    for sides in itertools.product((0, 1), repeat=len(slots)):
+        moved = [(s, p) for (s, p), side in zip(slots, sides) if side]
+        psi1 = sum(p for _, p in moved)
+        out.append((
+            {s: g.n_vertices for s, _ in moved},
+            (len(slots) - len(moved), len(moved)),
+            (total - psi1, psi1),
+        ))
+    return out
+
+
+def _kappa_splits(kappa: tuple[int, ...]):
+    """All distributions of the kappa factors over two vertices,
+    counted with multiplicity (each factor is a distinguishable slot)."""
+    for sides in itertools.product((0, 1), repeat=len(kappa)):
+        left = tuple(a for a, s in zip(kappa, sides) if s == 0)
+        right = tuple(a for a, s in zip(kappa, sides) if s == 1)
+        yield left, right
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -269,11 +346,7 @@ def _problems(g: DecoratedGraph) -> list[tuple[str, tuple]]:
     dimension; component dimensions are summed only when nothing else
     fails and some vertex dimension is negative.
     """
-    valence = [0] * g.n_vertices
-    dims = [3 * v.genus - 3 - v.kappa_degree for v in g.vertices]
-    for v, psi in [(l.vertex, l.psi) for l in g.legs] + [end for e in g.edges for end in e]:
-        valence[v] += 1
-        dims[v] += 1 - psi
+    valence, dims = _valences_and_dimensions(g)
     problems = []
     for i, v in enumerate(g.vertices):
         if v.genus < 0:

@@ -26,10 +26,18 @@ identically as soon as codim + l exceeds 3g-3+n.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .graphs import DecoratedGraph, End, Leg, Vertex, is_valid
+from .graphs import (
+    DecoratedGraph,
+    Leg,
+    Vertex,
+    _kappa_splits,
+    _rewire,
+    _side_assignments,
+    _valences_and_dimensions,
+    is_valid,
+)
 from .sums import FormalSum, SymbolicSum
 
 HALF = Fraction(1, 2)
@@ -51,17 +59,11 @@ def _check_labels(g: DecoratedGraph, i: int, j: int):
         )
 
 
-def _mutable(g: DecoratedGraph):
-    return list(g.vertices), list(g.legs), [tuple(e) for e in g.edges]
-
-
 def _retained(g: DecoratedGraph) -> bool:
     # stability plus nonnegative dimension of every vertex factor: a
     # decoration exceeding the dimension of its vertex moduli makes
     # the whole class zero even when the component stays nonnegative
-    return is_valid(g) and all(
-        g.vertex_dimension(v) >= 0 for v in range(g.n_vertices)
-    )
+    return is_valid(g) and min(_valences_and_dimensions(g)[1], default=0) >= 0
 
 
 def _filtered(terms):
@@ -77,23 +79,22 @@ def cut_edges(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
     """
     _check_labels(g, i, j)
     sign = Fraction((-1) ** (l - 1))
+    dims = _valences_and_dimensions(g)[1]
     terms = []
     for k, (a, b) in enumerate(g.edges):
-        verts, legs, edges = _mutable(g)
-        del edges[k]
-        base = DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
+        edges = g.edges[:k] + g.edges[k + 1 :]
         for (la, pa), (lb, pb), coeff in (
             ((i, a.psi + l), (j, b.psi), HALF),
             ((i, a.psi), (j, b.psi + l), HALF * sign),
             ((j, a.psi), (i, b.psi + l), HALF),
             ((j, a.psi + l), (i, b.psi), HALF * sign),
         ):
-            cut = DecoratedGraph(
-                base.vertices,
-                base.legs + (Leg(a.vertex, la, pa), Leg(b.vertex, lb, pb)),
-                base.edges,
-            )
-            terms.append((cut, coeff))
+            # cutting keeps every vertex dimension, so a psi^l end on a
+            # vertex of dimension < l is one _retained would drop
+            if dims[a.vertex if pa > a.psi else b.vertex] < l:
+                continue
+            legs = g.legs + (Leg(a.vertex, la, pa), Leg(b.vertex, lb, pb))
+            terms.append((DecoratedGraph(g.vertices, legs, edges), coeff))
     return _filtered(terms)
 
 
@@ -103,25 +104,14 @@ def reduce_genus(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
     (1/2)(-1)**(m+1)."""
     _check_labels(g, i, j)
     terms = []
-    for v in range(g.n_vertices):
-        if g.vertices[v].genus < 1:
+    for v, vert in enumerate(g.vertices):
+        if vert.genus < 1:
             continue
+        verts = g.vertices[:v] + (Vertex(vert.genus - 1, vert.kappa),) + g.vertices[v + 1 :]
         for m in range(l):
-            verts, legs, edges = _mutable(g)
-            verts[v] = Vertex(verts[v].genus - 1, verts[v].kappa)
-            legs.extend([Leg(v, i, l - 1 - m), Leg(v, j, m)])
-            coeff = HALF * (-1) ** (m + 1)
-            terms.append((DecoratedGraph(tuple(verts), tuple(legs), tuple(edges)), coeff))
+            legs = g.legs + (Leg(v, i, l - 1 - m), Leg(v, j, m))
+            terms.append((DecoratedGraph(verts, legs, g.edges), HALF * (-1) ** (m + 1)))
     return _filtered(terms)
-
-
-def _kappa_splits(kappa: tuple[int, ...]):
-    """All distributions of the kappa factors over two vertices,
-    counted with multiplicity (each factor is a distinguishable slot)."""
-    for sides in itertools.product((0, 1), repeat=len(kappa)):
-        left = tuple(a for a, s in zip(kappa, sides) if s == 0)
-        right = tuple(a for a, s in zip(kappa, sides) if s == 1)
-        yield left, right
 
 
 def split_vertices(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
@@ -134,16 +124,17 @@ def split_vertices(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
     psi^(l-1-m) on the i side and psi^m on the j side.
     """
     _check_labels(g, i, j)
+    nb = g.n_vertices  # index of the side-1 vertex
     terms = []
-    for v in range(g.n_vertices):
-        vert = g.vertices[v]
+    for v, vert in enumerate(g.vertices):
         assignments = _side_assignments(g, v)
         kappas = list(_kappa_splits(vert.kappa))
         for m in range(l):
             coeff = HALF * (-1) ** (m + 1)
+            new_legs = (Leg(v, i, l - 1 - m), Leg(nb, j, m))
             for g1 in range(vert.genus + 1):
                 g2 = vert.genus - g1
-                for side_of, count, psi in assignments:
+                for move, count, psi in assignments:
                     for k1, k2 in kappas:
                         # skip unbuilt what _retained rejects for either side
                         if not (
@@ -151,63 +142,17 @@ def split_vertices(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
                             and _side_ok(g2, count[1] + 1, psi[1] + m + sum(k2))
                         ):
                             continue
-                        split = _apply_split(
-                            g, v, g1, g2, k1, k2, side_of,
-                            (Leg(0, i, l - 1 - m), Leg(0, j, m)),
+                        verts = (
+                            g.vertices[:v] + (Vertex(g1, k1),) + g.vertices[v + 1 :]
+                            + (Vertex(g2, k2),)
                         )
-                        terms.append((split, coeff))
+                        terms.append((_rewire(g, verts, move, legs=new_legs), coeff))
     return _filtered(terms)
-
-
-def _side_assignments(g: DecoratedGraph, v: int):
-    """Every assignment of the half-edge slots at vertex v to sides 0
-    and 1, as (side_of, slots per side, psi sum per side)."""
-    slots = [("leg", k) for k, leg in enumerate(g.legs) if leg.vertex == v]
-    slots += [("end", e) for e in g.ends_at(v)]
-    psis = [g.legs[r].psi if kind == "leg" else g.edges[r[0]][r[1]].psi for kind, r in slots]
-    out = []
-    for sides in itertools.product((0, 1), repeat=len(slots)):
-        n1, psi1 = sum(sides), sum(p for p, s in zip(psis, sides) if s)
-        out.append((dict(zip(slots, sides)), (len(slots) - n1, n1), (sum(psis) - psi1, psi1)))
-    return out
 
 
 def _side_ok(genus: int, valence: int, degree: int) -> bool:
     """Stable and nonnegative-dimensional with this genus, valence and degree."""
     return 2 * genus - 2 + valence > 0 and 3 * genus - 3 + valence >= degree
-
-
-def _apply_split(g, v, g1, g2, k1, k2, side_of, new_legs):
-    """Replace vertex v by two vertices (appended at positions v and
-    n_vertices); ``side_of`` sends each incident slot to side 0/1; the
-    two entries of ``new_legs`` attach to sides 0 and 1."""
-    va = Vertex(g1, k1)
-    vb = Vertex(g2, k2)
-    nb = g.n_vertices  # index of the side-1 vertex
-    verts = list(g.vertices)
-    verts[v] = va
-    verts.append(vb)
-    legs = []
-    for k, leg in enumerate(g.legs):
-        if leg.vertex == v:
-            tgt = v if side_of[("leg", k)] == 0 else nb
-            legs.append(Leg(tgt, leg.label, leg.psi))
-        else:
-            legs.append(leg)
-    legs.append(Leg(v, new_legs[0].label, new_legs[0].psi))
-    legs.append(Leg(nb, new_legs[1].label, new_legs[1].psi))
-    edges = []
-    for idx, e in enumerate(g.edges):
-        ends = []
-        for side in (0, 1):
-            end = e[side]
-            if end.vertex == v:
-                tgt = v if side_of[("end", (idx, side))] == 0 else nb
-                ends.append(End(tgt, end.psi))
-            else:
-                ends.append(end)
-        edges.append(tuple(ends))
-    return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
 
 
 def _fresh_labels(labels) -> tuple[int, int]:

@@ -40,12 +40,14 @@ from .graphs import (
     End,
     Leg,
     Vertex,
+    _kappa_splits,
+    _rewire,
+    _slots_at,
     automorphism_count,
     canonicalize,
     is_valid,
     sort_key,
 )
-from .operators import _kappa_splits
 from .strata import enumerate_classes
 from .sums import FormalSum, SymbolicSum
 
@@ -66,92 +68,36 @@ class InductiveDataMissing(RuntimeError):
 # vertex splitting shared by the rewrites and the four-point relations
 
 
-def _slot_refs_at(g: DecoratedGraph, v: int):
-    refs = [("leg", k) for k, leg in enumerate(g.legs) if leg.vertex == v]
-    refs += [("end", e) for e in g.ends_at(v)]
-    return refs
+def _linked_splits(g: DecoratedGraph, v: int, genera, zero_sides, dec=None):
+    """The valid splittings of vertex v into two vertices of the given
+    genera joined by a new edge.
 
-
-def _slot_psi(g: DecoratedGraph, ref) -> int:
-    if ref[0] == "leg":
-        return g.legs[ref[1]].psi
-    (idx, side) = ref[1]
-    return g.edges[idx][side].psi
-
-
-def _slot_vertex(g: DecoratedGraph, ref) -> int:
-    if ref[0] == "leg":
-        return g.legs[ref[1]].vertex
-    (idx, side) = ref[1]
-    return g.edges[idx][side].vertex
-
-
-def _split_linked(g, v, g1, g2, k1, k2, side_of, dec_ref=None) -> DecoratedGraph:
-    """Split vertex v into two vertices joined by a new edge.
-
-    All slot references index into ``g`` itself; ``dec_ref`` names one
-    slot whose psi power drops by one in the same pass (positional
-    references would not survive the re-sorting a separate
-    modification step triggers).
+    For each slot set in ``zero_sides`` those slots stay at v and the
+    others move to the new vertex; kappa factors distribute in all
+    ways, and the psi power at slot ``dec`` drops by one.
     """
     nb = g.n_vertices
-    verts = list(g.vertices)
-    verts[v] = Vertex(g1, k1)
-    verts.append(Vertex(g2, k2))
-    legs = []
-    for k, leg in enumerate(g.legs):
-        psi = leg.psi - (1 if dec_ref == ("leg", k) else 0)
-        tgt = leg.vertex
-        if leg.vertex == v:
-            tgt = v if side_of[("leg", k)] == 0 else nb
-        legs.append(Leg(tgt, leg.label, psi))
-    edges = []
-    for idx, e in enumerate(g.edges):
-        ends = []
-        for side in (0, 1):
-            end = e[side]
-            psi = end.psi - (1 if dec_ref == ("end", (idx, side)) else 0)
-            tgt = end.vertex
-            if end.vertex == v:
-                tgt = v if side_of[("end", (idx, side))] == 0 else nb
-            ends.append(End(tgt, psi))
-        edges.append(tuple(ends))
-    edges.append((End(v, 0), End(nb, 0)))
-    return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
-
-
-def _nonseparating(g, v, dec_ref) -> DecoratedGraph:
-    """Drop the genus of vertex v by one, attach a loop, lower the psi
-    power at ``dec_ref`` by one."""
-    verts = list(g.vertices)
-    verts[v] = Vertex(verts[v].genus - 1, verts[v].kappa)
-    legs = []
-    for k, leg in enumerate(g.legs):
-        psi = leg.psi - (1 if dec_ref == ("leg", k) else 0)
-        legs.append(Leg(leg.vertex, leg.label, psi))
-    edges = []
-    for idx, e in enumerate(g.edges):
-        ends = []
-        for side in (0, 1):
-            end = e[side]
-            psi = end.psi - (1 if dec_ref == ("end", (idx, side)) else 0)
-            ends.append(End(end.vertex, psi))
-        edges.append(tuple(ends))
-    edges.append((End(v, 0), End(v, 0)))
-    return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
-
-
-def _sides(refs, zero_side):
-    zero = set(zero_side)
-    return {r: (0 if r in zero else 1) for r in refs}
+    slots = [s for s, _ in _slots_at(g, v)]
+    before, after = g.vertices[:v], g.vertices[v + 1 :]
+    psi = {} if dec is None else {dec: -1}
+    link = ((End(v, 0), End(nb, 0)),)
+    out = []
+    for zero in zero_sides:
+        move = {s: nb for s in slots if s not in zero}
+        for k1, k2 in _kappa_splits(g.vertices[v].kappa):
+            verts = before + (Vertex(genera[0], k1),) + after + (Vertex(genera[1], k2),)
+            cand = _rewire(g, verts, move, psi, edges=link)
+            if is_valid(cand):
+                out.append(cand)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # topological recursion rewrites
 
 
-def _genus0_step(g: DecoratedGraph, ref, opposite=None) -> list[tuple[DecoratedGraph, Fraction]]:
-    """One psi elimination at a slot of a genus-0 vertex.
+def _genus0_step(g: DecoratedGraph, v: int, ref, opposite=None) -> list[tuple[DecoratedGraph, Fraction]]:
+    """One psi elimination at slot ``ref`` of the genus-0 vertex v.
 
     With reference slots b, c (by default the two smallest other
     special points on the vertex) the psi class at the slot equals the
@@ -160,57 +106,43 @@ def _genus0_step(g: DecoratedGraph, ref, opposite=None) -> list[tuple[DecoratedG
     halves.  The result is independent of the reference choice modulo
     the four-point relations, which is tested rather than assumed.
     """
-    v = _slot_vertex(g, ref)
-    refs = _slot_refs_at(g, v)
-    others = sorted(r for r in refs if r != ref)
+    others = sorted(s for s, _ in _slots_at(g, v) if s != ref)
     if opposite is None:
         opposite = (others[0], others[1])
-    rest = [r for r in others if r not in opposite]
-    out = []
-    kappa = g.vertices[v].kappa
-    for t in range(1, len(rest) + 1):
-        for extra in itertools.combinations(rest, t):
-            side_of = _sides(refs, (ref,) + extra)
-            for k1, k2 in _kappa_splits(kappa):
-                cand = _split_linked(g, v, 0, 0, k1, k2, side_of, dec_ref=ref)
-                if is_valid(cand):
-                    out.append((cand, Fraction(1)))
-    return out
+    rest = [s for s in others if s not in opposite]
+    zero_sides = (
+        (ref,) + extra for t in range(1, len(rest) + 1) for extra in itertools.combinations(rest, t)
+    )
+    return [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), zero_sides, ref)]
 
 
-def _genus1_step(g: DecoratedGraph, ref) -> list[tuple[DecoratedGraph, Fraction]]:
-    """One psi elimination at a slot of a genus-1 vertex.
+def _genus1_step(g: DecoratedGraph, v: int, ref) -> list[tuple[DecoratedGraph, Fraction]]:
+    """One psi elimination at slot ``ref`` of the genus-1 vertex v.
 
     The class splits into 1/24 times the nonseparating degeneration
     (genus drops, a loop appears) plus all separating splittings that
     carry the slot and at least one more special point to a new
     genus-0 vertex.
     """
-    v = _slot_vertex(g, ref)
-    out = []
-    loop = _nonseparating(g, v, ref)
-    if is_valid(loop):
-        out.append((loop, Fraction(1, 24)))
-    refs = _slot_refs_at(g, v)
-    others = sorted(r for r in refs if r != ref)
-    kappa = g.vertices[v].kappa
-    for t in range(1, len(others) + 1):
-        for extra in itertools.combinations(others, t):
-            side_of = _sides(refs, (ref,) + extra)
-            for k1, k2 in _kappa_splits(kappa):
-                cand = _split_linked(g, v, 0, 1, k1, k2, side_of, dec_ref=ref)
-                if is_valid(cand):
-                    out.append((cand, Fraction(1)))
-    return out
+    vert = g.vertices[v]
+    verts = g.vertices[:v] + (Vertex(vert.genus - 1, vert.kappa),) + g.vertices[v + 1 :]
+    loop = _rewire(g, verts, psi={ref: -1}, edges=((End(v, 0), End(v, 0)),))
+    out = [(loop, Fraction(1, 24))] if is_valid(loop) else []
+    others = sorted(s for s, _ in _slots_at(g, v) if s != ref)
+    zero_sides = (
+        (ref,) + extra for t in range(1, len(others) + 1) for extra in itertools.combinations(others, t)
+    )
+    return out + [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 1), zero_sides, ref)]
 
 
 def _first_psi_slot(g: DecoratedGraph, genus: int):
-    for v in range(g.n_vertices):
-        if g.vertices[v].genus != genus:
-            continue
-        for ref in sorted(_slot_refs_at(g, v)):
-            if _slot_psi(g, ref) > 0:
-                return ref
+    """(vertex, slot) of the first psi-decorated slot on a vertex of
+    the given genus, or None."""
+    for v, vert in enumerate(g.vertices):
+        if vert.genus == genus:
+            for slot, p in sorted(_slots_at(g, v)):
+                if p > 0:
+                    return v, slot
     return None
 
 
@@ -223,41 +155,25 @@ def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, Fractio
     Raises InductiveDataMissing on a psi power carried by a vertex of
     genus >= 2.
     """
-    for v in range(g.n_vertices):
-        if g.vertices[v].genus >= 2:
-            for ref in _slot_refs_at(g, v):
-                if _slot_psi(g, ref) > 0:
-                    comp = [c for c in g.components() if v in c][0]
-                    sub = g.subgraph(comp)
-                    raise InductiveDataMissing(
-                        (sub.total_genus(), len(sub.legs), sub.codimension()),
-                        "psi on a genus-%d vertex" % g.vertices[v].genus,
-                    )
-    ref = _first_psi_slot(g, 1)
-    step = _genus1_step if ref is not None else _genus0_step
-    if ref is None:
-        ref = _first_psi_slot(g, 0)
-    if ref is None:
+    for v, vert in enumerate(g.vertices):
+        if vert.genus >= 2 and any(p > 0 for _, p in _slots_at(g, v)):
+            comp = [c for c in g.components() if v in c][0]
+            sub = g.subgraph(comp)
+            raise InductiveDataMissing(
+                (sub.total_genus(), len(sub.legs), sub.codimension()),
+                "psi on a genus-%d vertex" % vert.genus,
+            )
+    hit = _first_psi_slot(g, 1)
+    step = _genus1_step if hit is not None else _genus0_step
+    if hit is None:
+        hit = _first_psi_slot(g, 0)
+    if hit is None:
         return ((canonicalize(g), Fraction(1)),)
     acc: dict[DecoratedGraph, Fraction] = {}
-    for piece, frac in step(g, ref):
+    for piece, frac in step(g, *hit):
         for final, sub in psi_free_expansion(canonicalize(piece)):
             acc[final] = acc.get(final, Fraction(0)) + frac * sub
     return tuple(sorted(((k, c) for k, c in acc.items() if c), key=lambda t: sort_key(t[0])))
-
-
-def _rewrite(e, genus: int):
-    """Eliminate psi slots on vertices of the given genus from every
-    term; descendants created along the way are fully cleaned."""
-    cls = type(e)
-    out = []
-    for graph, coeff in e.terms():
-        if _first_psi_slot(graph, genus) is None:
-            out.append((graph, coeff))
-            continue
-        for piece, frac in psi_free_expansion(graph):
-            out.append((piece, coeff * frac))
-    return cls(out)
 
 
 def genus0_trr_rewrite(e):
@@ -265,18 +181,14 @@ def genus0_trr_rewrite(e):
     cls = type(e)
     out = []
     for graph, coeff in e.terms():
-        ref = _first_psi_slot(graph, 0)
-        if ref is None:
-            out.append((graph, coeff))
-            continue
         stack = [(graph, coeff)]
         while stack:
             cur, cc = stack.pop()
-            ref = _first_psi_slot(cur, 0)
-            if ref is None:
+            hit = _first_psi_slot(cur, 0)
+            if hit is None:
                 out.append((cur, cc))
                 continue
-            for piece, frac in _genus0_step(cur, ref):
+            for piece, frac in _genus0_step(cur, *hit):
                 stack.append((canonicalize(piece), cc * frac))
     return cls(out)
 
@@ -284,7 +196,14 @@ def genus0_trr_rewrite(e):
 def genus1_trr_rewrite(e):
     """Eliminate psi powers on genus-1 vertices (coefficient 1/24 on
     the nonseparating term), then clean the genus-0 descendants."""
-    return _rewrite(e, 1)
+    out = []
+    for graph, coeff in e.terms():
+        if _first_psi_slot(graph, 1) is None:
+            out.append((graph, coeff))
+            continue
+        for piece, frac in psi_free_expansion(graph):
+            out.append((piece, coeff * frac))
+    return type(e)(out)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +215,12 @@ def wdvv_expand(g: DecoratedGraph, v: int, pair_a, pair_b) -> FormalSum:
     vertex: the sum of all splittings with pair_a on one half and
     pair_b on the other, remaining slots and kappa factors distributed
     in all ways."""
-    refs = _slot_refs_at(g, v)
     chosen = set(pair_a) | set(pair_b)
-    rest = [r for r in refs if r not in chosen]
-    kappa = g.vertices[v].kappa
-    terms = []
-    for t in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, t):
-            side_of = _sides(refs, tuple(pair_a) + extra)
-            for k1, k2 in _kappa_splits(kappa):
-                cand = _split_linked(g, v, 0, 0, k1, k2, side_of)
-                if is_valid(cand):
-                    terms.append((cand, Fraction(1)))
-    return FormalSum(terms)
+    rest = [s for s, _ in _slots_at(g, v) if s not in chosen]
+    zero_sides = (
+        tuple(pair_a) + extra for t in range(len(rest) + 1) for extra in itertools.combinations(rest, t)
+    )
+    return FormalSum([(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), zero_sides)])
 
 
 def wdvv_relations(host: DecoratedGraph, vertex: int, points=None) -> list[FormalSum]:
@@ -320,7 +232,7 @@ def wdvv_relations(host: DecoratedGraph, vertex: int, points=None) -> list[Forma
     """
     if host.vertices[vertex].genus != 0:
         raise ValueError("marked vertex must have genus 0")
-    refs = sorted(_slot_refs_at(host, vertex))
+    refs = sorted(s for s, _ in _slots_at(host, vertex))
     if len(refs) < 4:
         raise ValueError("marked vertex must have valence >= 4")
     choices = [tuple(points)] if points else list(itertools.combinations(refs, 4))
@@ -377,45 +289,22 @@ def induce_by_forgetful(rel, new_label: int | None = None):
         raise ValueError("label %d already in use" % new_label)
     out = []
     for graph, coeff in rel.terms():
-        for u in range(graph.n_vertices):
-            kappa = graph.vertices[u].kappa
-            for sides in itertools.product((0, 1), repeat=len(kappa)):
-                kept = tuple(a for a, s in zip(kappa, sides) if s == 0)
-                dropped = [a for a, s in zip(kappa, sides) if s == 1]
-                sign = Fraction((-1) ** len(dropped))
-                verts = list(graph.vertices)
-                verts[u] = Vertex(verts[u].genus, kept)
+        for u, vert in enumerate(graph.vertices):
+            for kept, dropped in _kappa_splits(vert.kappa):
+                verts = graph.vertices[:u] + (Vertex(vert.genus, kept),) + graph.vertices[u + 1 :]
                 legs = graph.legs + (Leg(u, new_label, sum(dropped)),)
-                out.append(
-                    (DecoratedGraph(tuple(verts), legs, graph.edges), coeff * sign)
-                )
+                out.append((DecoratedGraph(verts, legs, graph.edges), coeff * Fraction((-1) ** len(dropped))))
+        # the bubble: a new genus-0 vertex carrying the slot and the new point
+        nb = graph.n_vertices
+        bubble = graph.vertices + (Vertex(0),)
         for v in range(graph.n_vertices):
-            for ref in _slot_refs_at(graph, v):
-                p = _slot_psi(graph, ref)
+            for slot, p in _slots_at(graph, v):
                 if p < 1:
                     continue
-                out.append((_bubble_off(graph, v, ref, p, new_label), coeff * -1))
+                node = ((End(v, p - 1), End(nb, 0)),)
+                pulled = _rewire(graph, bubble, {slot: nb}, {slot: -p}, (Leg(nb, new_label, 0),), node)
+                out.append((pulled, coeff * -1))
     return cls([(g, c) for g, c in out if is_valid(g)])
-
-
-def _bubble_off(graph, v, ref, p, new_label):
-    """Move slot ``ref`` onto a new 3-valent genus-0 bubble together
-    with the new point; the attaching node keeps psi^(p-1) on the old
-    vertex side."""
-    nb = graph.n_vertices
-    verts = graph.vertices + (Vertex(0),)
-    legs = list(graph.legs)
-    edges = [list(e) for e in graph.edges]
-    if ref[0] == "leg":
-        l = legs[ref[1]]
-        legs[ref[1]] = Leg(nb, l.label, 0)
-    else:
-        idx, side = ref[1]
-        end = edges[idx][side]
-        edges[idx][side] = End(nb, 0)
-    legs.append(Leg(nb, new_label, 0))
-    edges.append([End(v, p - 1), End(nb, 0)])
-    return DecoratedGraph(verts, tuple(legs), tuple(tuple(e) for e in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +472,13 @@ class RelationRegistry:
         path = self._path(g, n, k)
         if not path.exists():
             return None
-        from .gwi import parse_sum
+        from .gwi import read_file
 
+        comments, rels = read_file(path)
         convention = "glued-half-edges"
-        rels = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "convention:" in line:
-                    convention = line.split("convention:", 1)[1].strip()
-                continue
-            rels.append(parse_sum(line))
+        for line in comments:
+            if "convention:" in line:
+                convention = line.split("convention:", 1)[1].strip()
         if convention == "automorphism-weighted":
             rels = [from_automorphism_convention(r) for r in rels]
         elif convention != "glued-half-edges":

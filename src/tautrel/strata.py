@@ -23,47 +23,37 @@ from .graphs import (
     End,
     Leg,
     Vertex,
+    _rewire,
+    _side_assignments,
+    _slots_at,
+    _valences_and_dimensions,
     canonicalize,
     sort_key,
 )
-from .operators import _apply_split, _side_assignments
 
 
 def _one_edge_degenerations(g: DecoratedGraph):
     out = []
-    for v in range(g.n_vertices):
-        vert = g.vertices[v]
+    nb = g.n_vertices  # index of the second half of a split
+    for v, vert in enumerate(g.vertices):
+        before, after = g.vertices[:v], g.vertices[v + 1 :]
         # non-separating: genus drops, loop appears
         if vert.genus >= 1:
-            verts = list(g.vertices)
-            verts[v] = Vertex(vert.genus - 1, vert.kappa)
-            edges = list(g.edges) + [(End(v, 0), End(v, 0))]
-            out.append(DecoratedGraph(tuple(verts), g.legs, tuple(edges)))
+            verts = before + (Vertex(vert.genus - 1, vert.kappa),) + after
+            out.append(DecoratedGraph(verts, g.legs, g.edges + ((End(v, 0), End(v, 0)),)))
         # separating: split the vertex, join the halves by an edge
         assignments = _side_assignments(g, v)
         for g1 in range(vert.genus + 1):
             g2 = vert.genus - g1
-            for side_of, count, _ in assignments:
+            verts = before + (Vertex(g1, vert.kappa),) + after + (Vertex(g2),)
+            for move, count, _ in assignments:
                 # each half keeps its slots plus one end of the new edge
                 if 2 * g1 - 1 + count[0] <= 0 or 2 * g2 - 1 + count[1] <= 0:
                     continue
-                split = _split_with_edge(g, v, g1, g2, side_of)
+                split = _rewire(g, verts, move, edges=((End(v, 0), End(nb, 0)),))
                 if all(split.is_stable_vertex(u) for u in range(split.n_vertices)):
                     out.append(split)
     return out
-
-
-def _split_with_edge(g, v, g1, g2, side_of):
-    split = _apply_split(
-        g, v, g1, g2, g.vertices[v].kappa, (), side_of,
-        (Leg(0, -1, 0), Leg(0, -2, 0)),
-    )
-    # replace the two placeholder legs by a connecting edge
-    legs = tuple(l for l in split.legs if l.label > 0)
-    (a,) = [l for l in split.legs if l.label == -1]
-    (b,) = [l for l in split.legs if l.label == -2]
-    edges = split.edges + ((End(a.vertex, 0), End(b.vertex, 0)),)
-    return DecoratedGraph(split.vertices, legs, edges)
 
 
 @lru_cache(maxsize=None)
@@ -82,15 +72,10 @@ def stable_graphs(g: int, n: int, num_edges: int) -> tuple[DecoratedGraph, ...]:
 
 
 def _vertex_decorations(graph: DecoratedGraph, budget: int, with_kappa: bool):
-    """Distributions of psi powers over slots and kappa over vertices,
-    total degree == budget, keeping every vertex factor nonnegative."""
-    slots = []
-    for v in range(graph.n_vertices):
-        for k, leg in enumerate(graph.legs):
-            if leg.vertex == v:
-                slots.append(("leg", k))
-        for e in graph.ends_at(v):
-            slots.append(("end", e))
+    """Distributions of psi powers over the slots of a psi-free graph
+    and kappa over its vertices, total degree == budget, keeping every
+    vertex factor nonnegative."""
+    slots = [s for v in range(graph.n_vertices) for s, _ in _slots_at(graph, v)]
     results = []
 
     def assign(idx, remaining, psi_of):
@@ -125,24 +110,9 @@ def _vertex_decorations(graph: DecoratedGraph, budget: int, with_kappa: bool):
     assign(0, budget, {})
     out = []
     for psi_of, kappas in results:
-        verts = [
-            Vertex(vert.genus, kappas.get(v, ()))
-            for v, vert in enumerate(graph.vertices)
-        ]
-        legs = [
-            Leg(l.vertex, l.label, psi_of.get(("leg", k), 0))
-            for k, l in enumerate(graph.legs)
-        ]
-        edges = []
-        for idx, e in enumerate(graph.edges):
-            edges.append(
-                (
-                    End(e[0].vertex, psi_of.get(("end", (idx, 0)), 0)),
-                    End(e[1].vertex, psi_of.get(("end", (idx, 1)), 0)),
-                )
-            )
-        cand = DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
-        if all(cand.vertex_dimension(v) >= 0 for v in range(cand.n_vertices)):
+        verts = [Vertex(vert.genus, kappas.get(v, ())) for v, vert in enumerate(graph.vertices)]
+        cand = _rewire(graph, verts, psi=psi_of)
+        if min(_valences_and_dimensions(cand)[1]) >= 0:
             out.append(cand)
     return out
 

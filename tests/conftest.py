@@ -101,3 +101,38 @@ def small_strata():
 def random_corpus():
     rng = random.Random(20240517)
     return [random_stable_graph(rng) for _ in range(500)]
+
+
+# Reference vertex split, written independently of graphs._rewire; the
+# build-then-filter references in test_operators and test_strata use it.
+def _apply_split(g, v, g1, g2, k1, k2, side_of, new_legs):
+    """Replace vertex v by two vertices (appended at positions v and
+    n_vertices); ``side_of`` sends each incident slot to side 0/1; the
+    two entries of ``new_legs`` attach to sides 0 and 1."""
+    va = Vertex(g1, k1)
+    vb = Vertex(g2, k2)
+    nb = g.n_vertices  # index of the side-1 vertex
+    verts = list(g.vertices)
+    verts[v] = va
+    verts.append(vb)
+    legs = []
+    for k, leg in enumerate(g.legs):
+        if leg.vertex == v:
+            tgt = v if side_of[("leg", k)] == 0 else nb
+            legs.append(Leg(tgt, leg.label, leg.psi))
+        else:
+            legs.append(leg)
+    legs.append(Leg(v, new_legs[0].label, new_legs[0].psi))
+    legs.append(Leg(nb, new_legs[1].label, new_legs[1].psi))
+    edges = []
+    for idx, e in enumerate(g.edges):
+        ends = []
+        for side in (0, 1):
+            end = e[side]
+            if end.vertex == v:
+                tgt = v if side_of[("end", (idx, side))] == 0 else nb
+                ends.append(End(tgt, end.psi))
+            else:
+                ends.append(end)
+        edges.append(tuple(ends))
+    return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))

@@ -153,6 +153,16 @@ def test_reduce_single_stratum_is_normal(tmp_path, capsys):
     assert reg.normal_form(got - parse_sum("<1 2 e0>_0 <3 4 e0>_0")).is_zero()
 
 
+def test_reduce_reads_lines_as_one_sum_and_skips_indented_comments(tmp_path, capsys):
+    one = tmp_path / "one.gwi"
+    one.write_text("<1 2 e0>_0 <3 4 e0>_0 - 1/2*<1 3 e0>_0 <2 4 e0>_0\n")
+    split = tmp_path / "split.gwi"
+    split.write_text("  # an indented comment\n<1 2 e0>_0 <3 4 e0>_0\n\n-1/2*<1 3 e0>_0 <2 4 e0>_0\n")
+    code, out, _ = run(capsys, "reduce", str(one))
+    assert code == 0
+    assert run(capsys, "reduce", str(split)) == (0, out, "")
+
+
 def test_reduce_expresses_class_over_basis(tmp_path, capsys):
     # the first five-vector class rewritten over the basis classes
     v1 = symmetrize(parse_graph("<3 4 e0>_0 <5 e1 e1 e0>_0"), {3, 4})

@@ -4,15 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from tautrel.graphs import DecoratedGraph, Leg, Vertex, dimension
+from tautrel.graphs import DecoratedGraph, Leg, Vertex, _kappa_splits, dimension
 from tautrel.gwi import parse_graph, parse_sum
 from tautrel.operators import (
     HALF,
     AmbientMismatchError,
     LabelCollisionError,
-    _apply_split,
     _filtered,
-    _kappa_splits,
     apply_r,
     cut_edges,
     reduce_genus,
@@ -20,7 +18,7 @@ from tautrel.operators import (
 )
 from tautrel.sums import FormalSum, LinForm, SymbolicSum
 
-from conftest import random_stable_graph, small_strata
+from conftest import _apply_split, random_stable_graph, small_strata
 
 EX = parse_graph("<1 2 e0>_0 <3 4 e1>_0 <e0 e1>_1")
 
@@ -215,3 +213,35 @@ def test_pruned_split_matches_reference_on_small_strata():
     for g in graphs:
         n = len(g.legs)
         assert split_vertices(g, 1, n + 1, n + 2) == _split_vertices_unpruned(g, 1, n + 1, n + 2), g
+
+
+def _cut_edges_unpruned(g, l, i, j):
+    """Reference: all four cut terms of every edge built, then filtered."""
+    sign = Fraction((-1) ** (l - 1))
+    terms = []
+    for k, (a, b) in enumerate(g.edges):
+        verts, legs, edges = list(g.vertices), list(g.legs), [tuple(e) for e in g.edges]
+        del edges[k]
+        base = DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
+        for (la, pa), (lb, pb), coeff in (
+            ((i, a.psi + l), (j, b.psi), HALF),
+            ((i, a.psi), (j, b.psi + l), HALF * sign),
+            ((j, a.psi), (i, b.psi + l), HALF),
+            ((j, a.psi + l), (i, b.psi), HALF * sign),
+        ):
+            cut = DecoratedGraph(
+                base.vertices,
+                base.legs + (Leg(a.vertex, la, pa), Leg(b.vertex, lb, pb)),
+                base.edges,
+            )
+            terms.append((cut, coeff))
+    return _filtered(terms)
+
+
+def test_pruned_cut_matches_reference():
+    rng = random.Random(3)
+    graphs = small_strata() + [random_stable_graph(rng) for _ in range(60)]
+    for g in graphs:
+        n = len(g.legs)
+        for l in (1, 2, 3):
+            assert cut_edges(g, l, n + 1, n + 2) == _cut_edges_unpruned(g, l, n + 1, n + 2), g

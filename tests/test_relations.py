@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -5,24 +6,24 @@ from pathlib import Path
 
 import pytest
 
-from tautrel.graphs import symmetrize, validate
-from tautrel.gwi import format_sum, parse_graph, parse_sum
+from tautrel.graphs import _slots_at, symmetrize, validate
+from tautrel.gwi import GwiParseError, format_sum, parse_graph, parse_sum
 from tautrel.relations import (
     InductiveDataMissing,
     RelationRegistry,
     _genus0_step,
-    _slot_refs_at,
     from_automorphism_convention,
     genus0_trr_rewrite,
     genus1_trr_rewrite,
     induce_by_forgetful,
     induce_by_gluing,
+    psi_free_expansion,
     to_automorphism_convention,
     wdvv_relations,
 )
 from tautrel.sums import FormalSum
 
-from conftest import random_stable_graph
+from conftest import random_stable_graph, small_strata
 
 
 def _fs(text):
@@ -54,11 +55,11 @@ def test_rewrite_leaves_psi_free_input_alone():
 def test_reference_choice_immaterial_modulo_relations(registry):
     # rewrite psi_1 on a 5-point vertex against two reference pairs
     g = parse_graph("<1^1 2 3 4 5>_0")
-    refs = _slot_refs_at(g, 0)
+    refs = [r for r, _ in _slots_at(g, 0)]
     slot = [r for r in refs if g.legs[r[1]].label == 1][0]
     others = sorted(r for r in refs if r != slot)
-    out_a = FormalSum(_genus0_step(g, slot, opposite=(others[0], others[1])))
-    out_b = FormalSum(_genus0_step(g, slot, opposite=(others[2], others[3])))
+    out_a = FormalSum(_genus0_step(g, 0, slot, opposite=(others[0], others[1])))
+    out_b = FormalSum(_genus0_step(g, 0, slot, opposite=(others[2], others[3])))
     assert out_a != out_b
     assert registry.normal_form(out_a - out_b).is_zero()
 
@@ -94,10 +95,8 @@ def test_recursion_no_psi_on_genus_one_left():
     for g, _ in out.terms():
         for v in range(g.n_vertices):
             if g.vertices[v].genus >= 1:
-                for ref in _slot_refs_at(g, v):
-                    from tautrel.relations import _slot_psi
-
-                    assert _slot_psi(g, ref) == 0
+                for _, psi in _slots_at(g, v):
+                    assert psi == 0
 
 
 # -- four-point relations ----------------------------------------------------
@@ -463,3 +462,31 @@ def test_imported_file_convention(tmp_path):
     reg = RelationRegistry(tmp_path)
     rels = [r for r in reg.relations(1, 1, 1)]
     assert _fs("<1 e0 e0>_0") in rels
+
+
+def test_registry_bad_line_names_file_and_line(tmp_path):
+    (tmp_path / "g0n4k1.gwi").write_text(
+        "# convention: glued-half-edges\n\n  # an indented comment\n1 2 3 4>_0\n"
+    )
+    with pytest.raises(GwiParseError, match=r"g0n4k1\.gwi:4: expected '<'"):
+        RelationRegistry(tmp_path).relations(0, 4, 1)
+
+
+def test_rewrite_outputs_golden():
+    # the byte-exact output of the psi elimination, the four-point
+    # relations and the forgetful pullback over a fixed corpus
+    rng = random.Random(2026)
+    graphs = small_strata() + [random_stable_graph(rng, max_half_edges=6) for _ in range(100)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        try:
+            digest.update(format_sum(FormalSum(psi_free_expansion(g))).encode())
+        except InductiveDataMissing:
+            digest.update(b"missing")
+        for v in range(g.n_vertices):
+            if g.vertices[v].genus == 0 and g.valence(v) >= 4:
+                for rel in wdvv_relations(g, v):
+                    digest.update(format_sum(rel).encode())
+        digest.update(format_sum(induce_by_forgetful(FormalSum.single(g))).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == "d9dd7d2027218d8b78b5f9b46c994032e951a17e03d1ae8f9466dc051283943f"

@@ -9,9 +9,9 @@ import pytest
 
 from tautrel.graphs import DecoratedGraph, End, Leg, Vertex, canonicalize, sort_key, symmetrize
 from tautrel.gwi import format_graph
-from tautrel.strata import _one_edge_degenerations, _split_with_edge, enumerate_classes
+from tautrel.strata import _one_edge_degenerations, enumerate_classes
 
-from conftest import random_stable_graph, small_strata
+from conftest import _apply_split, random_stable_graph, small_strata
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -65,6 +65,19 @@ def test_orbits_partition_the_classes(g, n, k, decorations, pts):
         assert not support & covered, format_graph(rep)
         covered |= support
     assert covered == full
+
+
+def _split_with_edge(g, v, g1, g2, side_of):
+    split = _apply_split(
+        g, v, g1, g2, g.vertices[v].kappa, (), side_of,
+        (Leg(0, -1, 0), Leg(0, -2, 0)),
+    )
+    # replace the two placeholder legs by a connecting edge
+    legs = tuple(l for l in split.legs if l.label > 0)
+    (a,) = [l for l in split.legs if l.label == -1]
+    (b,) = [l for l in split.legs if l.label == -2]
+    edges = split.edges + ((End(a.vertex, 0), End(b.vertex, 0)),)
+    return DecoratedGraph(split.vertices, legs, edges)
 
 
 def _one_edge_degenerations_unpruned(g):
