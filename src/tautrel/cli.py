@@ -33,12 +33,8 @@ def _registry(args) -> RelationRegistry:
     # commands that reduce modulo relations need an existing root
     root = args.registry or os.environ.get("TAUT_REGISTRY_DIR")
     if root and not Path(root).is_dir():
-        raise SystemExit2("registry root %s does not exist" % root)
+        raise ValueError("registry root %s does not exist" % root)
     return RelationRegistry(root)
-
-
-class SystemExit2(Exception):
-    pass
 
 
 def _add_ambient(p):
@@ -81,13 +77,9 @@ def _build_parser():
 def cmd_enumerate(args) -> int:
     decorations = "none" if args.boundary_only else ("psi_kappa" if args.kappa else "psi")
     points = set(range(1, args.n + 1)) if args.symmetrize else None
-    try:
-        classes = enumerate_classes(
-            args.g, args.n, args.k, decorations=decorations, symmetrize_points=points
-        )
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    classes = enumerate_classes(
+        args.g, args.n, args.k, decorations=decorations, symmetrize_points=points
+    )
     lines = [format_graph(c) for c in classes]
     lines.append("COUNT %d" % len(classes))
     text = "\n".join(lines) + "\n"
@@ -110,9 +102,6 @@ def cmd_find(args) -> int:
             symmetrized=not args.no_symmetrize,
             decorations="none" if args.boundary_only else "psi",
         )
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
     except InductiveDataMissing as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISSING_DATA
@@ -136,7 +125,10 @@ def cmd_find(args) -> int:
 
 def _load_sum(path: str):
     # the lines of the file are the terms of one sum
-    _, sums = read_file(Path(path))
+    try:
+        _, sums = read_file(Path(path))
+    except OSError as exc:
+        raise ValueError(exc) from exc
     if not sums:
         raise GwiParseError("%s: no sum in the file" % path)
     fs = sum(sums, FormalSum())
@@ -149,11 +141,7 @@ def _load_sum(path: str):
 
 def cmd_check(args) -> int:
     registry = _registry(args)
-    try:
-        fs = _load_sum(args.file)
-    except (OSError, GwiParseError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    fs = _load_sum(args.file)
     if fs.is_zero():
         print("EMPTY (zero sum is vacuously invariant)")
         return EXIT_OK
@@ -188,11 +176,7 @@ def cmd_check(args) -> int:
 
 def cmd_reduce(args) -> int:
     registry = _registry(args)
-    try:
-        fs = _load_sum(args.file)
-    except (OSError, GwiParseError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    fs = _load_sum(args.file)
     try:
         nf = registry.normal_form(fs, allow_incomplete=True)
     except InductiveDataMissing as exc:
@@ -216,7 +200,8 @@ def main(argv=None) -> int:
             return cmd_check(args)
         if args.command == "reduce":
             return cmd_reduce(args)
-    except SystemExit2 as exc:
+    except ValueError as exc:
+        # unreadable or malformed input, a registry file included
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     raise AssertionError("unreachable")

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from .echelon import Echelon
 from .graphs import (
     DecoratedGraph,
     End,
@@ -311,43 +312,6 @@ def induce_by_forgetful(rel, new_label: int | None = None):
 # ambient tables and the registry
 
 
-def _rref(rows: list[dict[int, Fraction]], ncols: int):
-    """Exact reduced row echelon form of sparse rows; returns
-    (pivot_rows, pivot_cols) with pivot coefficient 1 and pivots
-    eliminated from every other row."""
-    rows = [dict(r) for r in rows if r]
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
-    for col in range(ncols):
-        hit = None
-        for i, r in enumerate(rows):
-            if r.get(col):
-                hit = i
-                break
-        if hit is None:
-            continue
-        row = rows.pop(hit)
-        inv = Fraction(1) / row[col]
-        row = {c: x * inv for c, x in row.items() if x}
-        for r in rows:
-            f = r.get(col)
-            if f:
-                for c, x in row.items():
-                    r[c] = r.get(c, Fraction(0)) - f * x
-                    if not r[c]:
-                        del r[c]
-        for _, prow in pivots:
-            f = prow.get(col)
-            if f:
-                for c, x in row.items():
-                    prow[c] = prow.get(c, Fraction(0)) - f * x
-                    if not prow[c]:
-                        del prow[c]
-        pivots.append((col, row))
-        rows = [r for r in rows if r]
-    pivots.sort(key=lambda t: t[0])
-    return pivots
-
-
 @dataclass(frozen=True)
 class RelationBasis:
     """Deterministic basis data for one connected ambient."""
@@ -359,24 +323,20 @@ class RelationBasis:
 
 
 class _Table:
-    def __init__(self, ambient, classes, pivots):
+    def __init__(self, ambient, classes, echelon: Echelon):
         self.ambient = ambient
         self.classes = classes
         self.incomplete = False
         self.index = {g: i for i, g in enumerate(classes)}
-        pivot_cols = {col for col, _ in pivots}
+        self.pivots = echelon.rows()
+        pivot_cols = {col for col, _ in self.pivots}
         self.basis_idx = [i for i in range(len(classes)) if i not in pivot_cols]
         self.reduce_map: dict[int, dict[int, Fraction]] = {}
         basis_pos = {col: p for p, col in enumerate(self.basis_idx)}
         for i in self.basis_idx:
             self.reduce_map[i] = {basis_pos[i]: Fraction(1)}
-        for col, row in pivots:
-            expr = {}
-            for c, x in row.items():
-                if c == col:
-                    continue
-                expr[basis_pos[c]] = -x
-            self.reduce_map[col] = expr
+        for col, row in self.pivots:
+            self.reduce_map[col] = {basis_pos[c]: -x for c, x in row.items() if c != col}
 
 
 class NormalForm:
@@ -522,11 +482,8 @@ class RelationRegistry:
                 raise InductiveDataMissing(key, "genus >= 2 factor")
             classes = tuple(enumerate_classes(g, m, k, decorations="none"))
             index = {c: i for i, c in enumerate(classes)}
-            rows = []
-            for rel in self.relations(g, m, k):
-                rows.append(self._relation_row(rel, index, key))
-            pivots = _rref(rows, len(classes))
-            table = _Table(key, classes, pivots)
+            rows = (self._relation_row(rel, index, key) for rel in self.relations(g, m, k))
+            table = _Table(key, classes, Echelon(rows))
             table.incomplete = (
                 g == 1 and m >= 4 and k >= 2 and not self.imported_relations(g, m, k)
             )
@@ -616,24 +573,12 @@ class RelationRegistry:
         they grow the rank, so the earlier classes end up expressed in
         terms of the later ones.
         """
-        pool = []
-        for cls in classes:
+        echelon = Echelon()
+        chosen = []
+        for cls in reversed(list(classes)):
             if isinstance(cls, DecoratedGraph):
                 cls = FormalSum.single(cls)
-            pool.append(cls)
-        keys: list = []
-        rows: list[dict[int, Fraction]] = []
-        chosen = []
-        for cls in reversed(pool):
-            coords = self.normal_coords(cls.terms(), allow_incomplete)
-            for kk in coords:
-                if kk not in keys:
-                    keys.append(kk)
-            row = {keys.index(kk): c for kk, c in coords.items()}
-            before = len(_rref([dict(r) for r in rows], len(keys)))
-            after = len(_rref([dict(r) for r in rows] + [dict(row)], len(keys)))
-            if after > before:
-                rows.append(row)
+            if echelon.add(self.normal_coords(cls.terms(), allow_incomplete)):
                 chosen.append(cls)
         return list(reversed(chosen))
 
@@ -643,18 +588,11 @@ class RelationRegistry:
         """Ordered basis of the connected ambient and the RREF of the
         relation span over the full class list."""
         table = self._table(g, n, k, allow_incomplete=allow_incomplete)
-        pivots = []
-        for col in sorted(set(range(len(table.classes))) - set(table.basis_idx)):
-            expr = table.reduce_map[col]
-            row = [(col, Fraction(1))]
-            for b, x in sorted(expr.items()):
-                row.append((table.basis_idx[b], -x))
-            pivots.append(tuple(row))
         return RelationBasis(
             ambient=(g, n, k),
             classes=table.classes,
             basis=tuple(table.classes[i] for i in table.basis_idx),
-            rref_rows=tuple(pivots),
+            rref_rows=tuple(tuple(sorted(row.items())) for _, row in table.pivots),
         )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .echelon import Echelon
 from .graphs import DecoratedGraph, symmetrize
 from .operators import apply_r
 from .relations import RelationRegistry
@@ -62,13 +63,15 @@ class LinearSystem:
     """Exact homogeneous system over the unknowns c_1..c_N.
 
     Rows are deduplicated up to scale; each row remembers which target
-    ambient and basis coordinate produced it.
+    ambient and basis coordinate produced it.  Unknown c_i is column
+    i - 1 of the row echelon form.
     """
 
     def __init__(self, n_unknowns: int):
         self.n_unknowns = n_unknowns
         self.rows: list[tuple[LinForm, str]] = []
         self._seen: set = set()
+        self.echelon = Echelon()
 
     def add_row(self, form: LinForm, provenance: str = ""):
         if not form:
@@ -80,22 +83,18 @@ class LinearSystem:
             return
         self._seen.add(key)
         self.rows.append((form, provenance))
-
-    def matrix(self) -> list[dict[int, Fraction]]:
-        return [{i - 1: c for i, c in form.coeffs.items()} for form, _ in self.rows]
+        self.echelon.add(_columns(form))
 
     def rank(self) -> int:
-        from .relations import _rref
-
-        return len(_rref(self.matrix(), self.n_unknowns))
+        return self.echelon.rank
 
     def contains_row(self, form: LinForm) -> bool:
         """True iff the row lies in the row space of the system."""
-        from .relations import _rref
+        return not self.echelon.reduce(_columns(form))
 
-        base = self.rank()
-        rows = self.matrix() + [{i - 1: c for i, c in form.coeffs.items()}]
-        return len(_rref(rows, self.n_unknowns)) == base
+
+def _columns(form: LinForm) -> dict[int, Fraction]:
+    return {i - 1: c for i, c in form.coeffs.items()}
 
 
 def invariance_system(
@@ -125,20 +124,7 @@ def solve_nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:
     free unknowns sit as high as the system allows; the basis vector
     for a free unknown sets it to 1 and the other free unknowns to 0.
     """
-    from .relations import _rref
-
-    n = system.n_unknowns
-    pivots = _rref(system.matrix(), n)
-    pivot_cols = {col: row for col, row in pivots}
-    free = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for col, row in pivots:
-            vec[col] = -row.get(f, Fraction(0))
-        basis.append(tuple(vec))
-    return basis
+    return system.echelon.nullspace(system.n_unknowns)
 
 
 @dataclass
@@ -164,8 +150,6 @@ def filter_trivial(
     against the trivial subspace and scaled to a primitive integer
     vector with positive leading entry.
     """
-    from .relations import _rref
-
     solutions = [tuple(v) for v in solutions if any(v)]
     if not solutions:
         return []
@@ -173,43 +157,22 @@ def filter_trivial(
     # coordinates of each unknown's class modulo the induced relations
     # of the source ambient (an incomplete quotient by design: a
     # direction is trivial iff it is a consequence of inductive data)
-    class_coords = {}
-    for i in E.unknowns():
-        probe = [Fraction(0)] * n
-        probe[i - 1] = Fraction(1)
-        class_coords[i] = registry.normal_coords(
-            _specialize(E, probe).terms(), allow_incomplete=True
-        )
-    keys = sorted({k for c in class_coords.values() for k in c})
-    key_pos = {k: p for p, k in enumerate(keys)}
-
-    def reduction_vector(vec):
-        acc: dict[int, Fraction] = {}
-        for i, x in enumerate(vec, start=1):
-            if not x:
-                continue
-            for kk, c in class_coords.get(i, {}).items():
-                p = key_pos[kk]
-                acc[p] = acc.get(p, Fraction(0)) + x * c
-        return {p: c for p, c in acc.items() if c}
+    class_coords: dict[int, list] = {}
+    for key, form in registry.normal_coords(E.terms(), allow_incomplete=True).items():
+        for i, c in form.coeffs.items():
+            class_coords.setdefault(i - 1, []).append((key, c))
 
     # trivial subspace: combinations x of the solutions whose class
     # reduces to zero; one linear condition per normal-form coordinate
-    d = len(solutions)
-    rows: list[dict[int, Fraction]] = []
-    reductions = [reduction_vector(vec) for vec in solutions]
-    for p in range(len(keys)):
-        row = {j: rv[p] for j, rv in enumerate(reductions) if p in rv}
-        if row:
-            rows.append(row)
-    pivots = _rref(rows, d)
-    pivot_cols = {col for col, _ in pivots}
+    conditions: dict = {}
+    for j, sol in enumerate(solutions):
+        for i, x in enumerate(sol):
+            if x:
+                for key, c in class_coords.get(i, ()):
+                    row = conditions.setdefault(key, {})
+                    row[j] = row.get(j, 0) + x * c
     trivial_vecs = []
-    for f in [c for c in range(d) if c not in pivot_cols]:
-        coeffs = [Fraction(0)] * d
-        coeffs[f] = Fraction(1)
-        for col, row in pivots:
-            coeffs[col] = -row.get(f, Fraction(0))
+    for coeffs in Echelon(conditions.values()).nullspace(len(solutions)):
         vec = [Fraction(0)] * n
         for c, sol in zip(coeffs, solutions):
             if c:
@@ -223,24 +186,15 @@ def filter_trivial(
         out.append(EquationCandidate(vec, _specialize(E, vec), trivial=True))
 
     # candidates: solutions reduced against the trivial span, kept only
-    # while they grow the joint rank
-    stack = [{i: x for i, x in enumerate(v) if x} for v in trivial_vecs]
-    tpiv = _rref([dict(r) for r in stack], n)
+    # while they grow the joint rank.  A reduced row is zero on the
+    # trivial pivots, so it lies in the joint span iff it lies in the
+    # span of the candidates kept so far.
+    trivial = Echelon(dict(enumerate(v)) for v in trivial_vecs)
+    kept = Echelon()
     for vec in solutions:
-        row = {i: x for i, x in enumerate(vec) if x}
-        for col, prow in tpiv:
-            f = row.get(col)
-            if f:
-                for c, x in prow.items():
-                    row[c] = row.get(c, Fraction(0)) - f * x
-                    if not row[c]:
-                        del row[c]
-        if not row:
+        row = trivial.reduce(dict(enumerate(vec)))
+        if not kept.add(row):
             continue
-        base = len(_rref([dict(r) for r in stack], n))
-        if len(_rref([dict(r) for r in stack] + [dict(row)], n)) == base:
-            continue
-        stack.append(row)
         full = [Fraction(0)] * n
         for i, x in row.items():
             full[i] = x

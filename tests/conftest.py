@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,42 @@ def _apply_split(g, v, g1, g2, k1, k2, side_of, new_legs):
                 ends.append(end)
         edges.append(tuple(ends))
     return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
+
+
+# Reference exact RREF, the from-scratch elimination the Echelon type
+# replaced; test_echelon checks Echelon against it.
+def _rref(rows: list[dict[int, Fraction]], ncols: int):
+    """Exact reduced row echelon form of sparse rows; returns
+    (pivot_rows, pivot_cols) with pivot coefficient 1 and pivots
+    eliminated from every other row."""
+    rows = [dict(r) for r in rows if r]
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    for col in range(ncols):
+        hit = None
+        for i, r in enumerate(rows):
+            if r.get(col):
+                hit = i
+                break
+        if hit is None:
+            continue
+        row = rows.pop(hit)
+        inv = Fraction(1) / row[col]
+        row = {c: x * inv for c, x in row.items() if x}
+        for r in rows:
+            f = r.get(col)
+            if f:
+                for c, x in row.items():
+                    r[c] = r.get(c, Fraction(0)) - f * x
+                    if not r[c]:
+                        del r[c]
+        for _, prow in pivots:
+            f = prow.get(col)
+            if f:
+                for c, x in row.items():
+                    prow[c] = prow.get(c, Fraction(0)) - f * x
+                    if not prow[c]:
+                        del prow[c]
+        pivots.append((col, row))
+        rows = [r for r in rows if r]
+    pivots.sort(key=lambda t: t[0])
+    return pivots

@@ -187,3 +187,24 @@ def test_missing_registry_dir_exit_2(capsys, tmp_path):
         "enumerate", "-g", "0", "-n", "4", "-k", "1",
     )
     assert code == 0
+
+
+# both commands read the registry file of (0,4,1): reduce for the
+# class itself, check for the operator image of a (0,5,1) divisor
+@pytest.mark.parametrize("command, text", [
+    ("reduce", "<1 2 e0>_0 <3 4 e0>_0"),
+    ("check", "<1 2 e0>_0 <3 4 5 e0>_0"),
+])
+@pytest.mark.parametrize("registry_text, message", [
+    ("1 2 3 4>_0\n", "g0n4k1.gwi:1: expected '<'"),
+    ("# convention: upside-down\n<1 2 e0>_0 <3 4 e0>_0\n", "unknown convention 'upside-down'"),
+])
+def test_bad_registry_file_exit_2(tmp_path, capsys, command, text, registry_text, message):
+    reg = tmp_path / "reg"
+    reg.mkdir()
+    (reg / "g0n4k1.gwi").write_text(registry_text)
+    f = tmp_path / "s.gwi"
+    f.write_text(text + "\n")
+    code, _, err = run(capsys, "--registry", str(reg), command, str(f))
+    assert code == 2
+    assert err.startswith("error: ") and message in err

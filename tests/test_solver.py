@@ -1,10 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from tautrel.graphs import symmetrize
-from tautrel.gwi import parse_graph
+from tautrel.gwi import format_sum, parse_graph
 from tautrel.relations import InductiveDataMissing, RelationRegistry
 from tautrel.solver import (
     LinearSystem,
@@ -277,3 +278,23 @@ def test_inductive_gate_propagates():
     g = parse_graph("<1 e0 e1>_1 <2 3 e0 e1>_1")
     with pytest.raises(InductiveDataMissing):
         check_invariance(FormalSum.single(g), range(1, 2), registry)
+
+
+def test_solver_outputs_golden():
+    # the byte-exact reports, candidates and relation tables of three
+    # finds (a trivial direction, a new candidate, genus-1 tables)
+    registry = RelationRegistry()
+    digest = hashlib.sha256()
+    for g, n, k, kw in [
+        (1, 4, 2, {}),
+        (1, 4, 2, {"decorations": "psi"}),
+        (0, 6, 1, {"decorations": "psi", "symmetrized": False}),
+    ]:
+        report = find_equations(g, n, k, registry, **kw)
+        digest.update("\n".join(report.lines()).encode())
+        for cand in report.candidates:
+            digest.update(("%s %s %s\n" % (cand.trivial, cand.vector, format_sum(cand.formal_sum))).encode())
+    for g, n, k in [(0, 5, 2), (0, 6, 2), (1, 3, 2), (1, 4, 2)]:
+        rb = registry.relation_basis(g, n, k, allow_incomplete=True)
+        digest.update(("%s\n" % (rb.rref_rows,)).encode())
+    assert digest.hexdigest() == "21aca064eabad67889262b2bf45ef1653080a21224be6e1201e1b9f02931d39c"
