@@ -32,7 +32,8 @@ the kappa degree of kappa_a being a.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -457,8 +458,16 @@ def _encode(g: DecoratedGraph, order: Sequence[int]):
 
 
 def _canonical_order(g: DecoratedGraph):
+    """(encoding, vertex order, leaf count) of the minimal encoding.
+
+    The search visits every leaf of the refinement tree.  The count is
+    the number of leaves reaching the minimal encoding.  The vertex
+    automorphisms permute these leaves, and exactly one of them takes
+    a given such leaf to another, so the count is the order of the
+    vertex part of the automorphism group.
+    """
     adj = _adjacency(g)
-    best: list = [None, None]
+    best: list = [None, None, 0]
 
     def rec(cols):
         classes = defaultdict(list)
@@ -469,7 +478,9 @@ def _canonical_order(g: DecoratedGraph):
             order = [classes[c][0] for c in sorted(classes)]
             enc = _encode(g, order)
             if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, order
+                best[:] = enc, order, 1
+            elif enc == best[0]:
+                best[2] += 1
             return
         target = multi[0]
         for v in classes[target]:
@@ -477,7 +488,7 @@ def _canonical_order(g: DecoratedGraph):
             rec(_refine(g, _intern(marked), adj))
 
     rec(_refine(g, _initial_colors(g), adj))
-    return best[0], best[1]
+    return tuple(best)
 
 
 @lru_cache(maxsize=None)
@@ -487,7 +498,7 @@ def canonicalize(g: DecoratedGraph) -> DecoratedGraph:
     Idempotent; two graphs are isomorphic iff their canonical forms
     are equal (as Python objects).
     """
-    _, order = _canonical_order(g)
+    _, order, _ = _canonical_order(g)
     pos = {v: i for i, v in enumerate(order)}
     return DecoratedGraph(
         tuple(g.vertices[v] for v in order),
@@ -519,83 +530,16 @@ def automorphism_count(g: DecoratedGraph) -> int:
     """Order of the automorphism group fixing external labels.
 
     Counts pairs (vertex bijection, half-edge bijection) preserving
-    genera, kappa, decorations and the edge pairing.  For a fixed
-    valid vertex bijection the number of half-edge extensions is a
-    product of factorials of parallel-edge multiplicities times 2 for
-    every loop whose two ends carry equal psi powers; that factor is
-    independent of the vertex bijection.
+    genera, kappa, decorations and the edge pairing.  The vertex
+    bijections are counted by the canonical search; each extends to
+    half-edges in as many ways as the product of factorials of the
+    parallel-edge multiplicities times 2 for every loop whose two ends
+    carry equal psi powers, independently of the vertex bijection.
     """
-    adj = _adjacency(g)
-    cols = _refine(g, _initial_colors(g), adj)
-
-    # multiset of edge types between each ordered vertex pair / at each vertex
-    pair_types = defaultdict(lambda: defaultdict(int))
-    loop_types = defaultdict(lambda: defaultdict(int))
-    sym_loops = 0
-    for e in g.edges:
-        (a, b) = e
-        if a.vertex == b.vertex:
-            t = tuple(sorted((a.psi, b.psi)))
-            loop_types[a.vertex][t] += 1
-            if a.psi == b.psi:
-                sym_loops += 1
-        else:
-            u, w = a.vertex, b.vertex
-            pair_types[(u, w)][(a.psi, b.psi)] += 1
-            pair_types[(w, u)][(b.psi, a.psi)] += 1
-
-    factor = 1
-    seen = set()
-    for (u, w), types in pair_types.items():
-        if (w, u) in seen:
-            continue
-        seen.add((u, w))
-        for m in types.values():
-            factor *= _factorial(m)
-    for types in loop_types.values():
-        for m in types.values():
-            factor *= _factorial(m)
-    factor *= 2 ** sym_loops
-
-    classes = defaultdict(list)
-    for v, c in enumerate(cols):
-        classes[c].append(v)
-
-    n = g.n_vertices
-    count = 0
-    for perm in _class_permutations(classes, n):
-        ok = True
-        for (u, w), types in pair_types.items():
-            if dict(pair_types[(perm[u], perm[w])]) != dict(types):
-                ok = False
-                break
-        if ok:
-            for v, types in loop_types.items():
-                if dict(loop_types[perm[v]]) != dict(types):
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count * factor
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def _class_permutations(classes, n):
-    """All vertex bijections permuting each colour class within itself."""
-    keys = sorted(classes)
-    pools = [list(itertools.permutations(classes[k])) for k in keys]
-    for combo in itertools.product(*pools):
-        perm = [0] * n
-        for k, images in zip(keys, combo):
-            for src, dst in zip(classes[k], images):
-                perm[src] = dst
-        yield perm
+    count = _canonical_order(g)[2]
+    for m in Counter(g.edges).values():
+        count *= math.factorial(m)
+    return count * 2 ** sum(a == b for a, b in g.edges)
 
 
 # ---------------------------------------------------------------------------

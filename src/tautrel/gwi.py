@@ -246,10 +246,6 @@ def _item(name: str, psi: int) -> str:
     return "%s^%d" % (name, psi) if psi else name
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_sum(s) -> str:
     """Render a FormalSum or SymbolicSum; empty sums render as '0'."""
     pieces: list[tuple[Fraction, str]] = []
@@ -265,7 +261,7 @@ def format_sum(s) -> str:
     out = []
     for k, (coeff, text) in enumerate(pieces):
         mag = abs(coeff)
-        body = text if mag == 1 else "%s*%s" % (_format_coeff(mag), text)
+        body = text if mag == 1 else "%s*%s" % (mag, text)
         if k == 0:
             # a leading bare "-<...>" is not a term of the grammar
             out.append(body if coeff > 0 else "-%s" % (body if mag != 1 else "1*" + body))

@@ -46,6 +46,7 @@ from .graphs import (
     _slots_at,
     automorphism_count,
     canonicalize,
+    disjoint_union,
     is_valid,
     sort_key,
 )
@@ -178,28 +179,28 @@ def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, Fractio
 
 
 def genus0_trr_rewrite(e):
-    """Trade every psi power on a genus-0 vertex for boundary terms."""
-    cls = type(e)
-    out = []
-    for graph, coeff in e.terms():
-        stack = [(graph, coeff)]
-        while stack:
-            cur, cc = stack.pop()
-            hit = _first_psi_slot(cur, 0)
-            if hit is None:
-                out.append((cur, cc))
-                continue
-            for piece, frac in _genus0_step(cur, *hit):
-                stack.append((canonicalize(piece), cc * frac))
-    return cls(out)
+    """Trade every psi power on a genus-0 vertex for boundary terms.
+
+    A term with psi on a genus-0 vertex becomes its whole
+    :func:`psi_free_expansion`, so psi on a genus-1 vertex of the same
+    term goes too, and psi on a vertex of genus >= 2 raises
+    InductiveDataMissing; every other term is left alone.
+    """
+    return _expand_psi_terms(e, 0)
 
 
 def genus1_trr_rewrite(e):
     """Eliminate psi powers on genus-1 vertices (coefficient 1/24 on
     the nonseparating term), then clean the genus-0 descendants."""
+    return _expand_psi_terms(e, 1)
+
+
+def _expand_psi_terms(e, genus: int):
+    """``e`` with each term that carries psi on a vertex of the given
+    genus replaced by its psi-free expansion."""
     out = []
     for graph, coeff in e.terms():
-        if _first_psi_slot(graph, 1) is None:
+        if _first_psi_slot(graph, genus) is None:
             out.append((graph, coeff))
             continue
         for piece, frac in psi_free_expansion(graph):
@@ -323,27 +324,24 @@ class RelationBasis:
 
 
 class _Table:
+    """The classes of one connected ambient and the echelon of its
+    relation rows, whose columns are class indices.  The basis is the
+    classes at the columns that are not pivots."""
+
     def __init__(self, ambient, classes, echelon: Echelon):
         self.ambient = ambient
         self.classes = classes
         self.incomplete = False
         self.index = {g: i for i, g in enumerate(classes)}
-        self.pivots = echelon.rows()
-        pivot_cols = {col for col, _ in self.pivots}
-        self.basis_idx = [i for i in range(len(classes)) if i not in pivot_cols]
-        self.reduce_map: dict[int, dict[int, Fraction]] = {}
-        basis_pos = {col: p for p, col in enumerate(self.basis_idx)}
-        for i in self.basis_idx:
-            self.reduce_map[i] = {basis_pos[i]: Fraction(1)}
-        for col, row in self.pivots:
-            self.reduce_map[col] = {basis_pos[c]: -x for c, x in row.items() if c != col}
+        self.echelon = echelon
 
 
 class NormalForm:
     """Sparse coordinates of a class in the product basis.
 
     Keys are sorted tuples, one entry per connected component:
-    (genus, external labels, codimension, basis index).
+    (genus, external labels, codimension, class index), where the
+    class index names a basis class of the component's ambient.
     """
 
     def __init__(self, coords, registry=None):
@@ -362,8 +360,6 @@ class NormalForm:
         terms = []
         for key, coeff in self.items():
             graphs = [self._registry._basis_graph(part) for part in key]
-            from .graphs import disjoint_union
-
             terms.append((disjoint_union(graphs), coeff))
         return FormalSum(terms)
 
@@ -496,12 +492,13 @@ class RelationRegistry:
 
     def _relation_row(self, rel: FormalSum, index, ambient):
         row: dict[int, Fraction] = {}
-        for graph, coeff in genus1_trr_rewrite(genus0_trr_rewrite(rel)).terms():
-            if graph not in index:
-                raise InductiveDataMissing(
-                    ambient, "relation term outside the ambient: %s" % (graph,)
-                )
-            row[index[graph]] = row.get(index[graph], Fraction(0)) + coeff
+        for term, coeff in rel.terms():
+            for graph, frac in psi_free_expansion(term):
+                if graph not in index:
+                    raise InductiveDataMissing(
+                        ambient, "relation term outside the ambient: %s" % (graph,)
+                    )
+                row[index[graph]] = row.get(index[graph], Fraction(0)) + coeff * frac
         return {c: x for c, x in row.items() if x}
 
     # -- normal forms ------------------------------------------------------
@@ -526,8 +523,9 @@ class RelationRegistry:
 
     def _flat_factors(self, flat: DecoratedGraph, allow_incomplete: bool):
         """Per connected component of a psi-free graph, its reduced
-        coordinates as ((genus, labels, codim, basis index), coeff);
-        memoised on success, so a refusal is raised every time."""
+        coordinates as ((genus, labels, codim, class index), coeff),
+        the class index naming a basis class; memoised on success, so
+        a refusal is raised every time."""
         key = (flat, allow_incomplete)
         if key not in self._factors:
             factors = []
@@ -541,7 +539,7 @@ class RelationRegistry:
                     raise InductiveDataMissing(
                         amb, "class outside the generated ambient (kappa?)"
                     )
-                red = table.reduce_map[table.index[cn]]
+                red = table.echelon.reduce({table.index[cn]: Fraction(1)})
                 factors.append(
                     tuple(((amb[0], labels, amb[2], b), red[b]) for b in sorted(red))
                 )
@@ -559,9 +557,8 @@ class RelationRegistry:
         return self.normal_form(e, allow_incomplete).is_zero()
 
     def _basis_graph(self, part) -> DecoratedGraph:
-        g, labels, k, b = part
-        table = self._table(g, len(labels), k, allow_incomplete=True)
-        graph = table.classes[table.basis_idx[b]]
+        g, labels, k, idx = part
+        graph = self._table(g, len(labels), k, allow_incomplete=True).classes[idx]
         back = {i + 1: lab for i, lab in enumerate(labels)}
         return graph.relabel(back)
 
@@ -588,11 +585,13 @@ class RelationRegistry:
         """Ordered basis of the connected ambient and the RREF of the
         relation span over the full class list."""
         table = self._table(g, n, k, allow_incomplete=allow_incomplete)
+        rows = table.echelon.rows()
+        pivots = {col for col, _ in rows}
         return RelationBasis(
             ambient=(g, n, k),
             classes=table.classes,
-            basis=tuple(table.classes[i] for i in table.basis_idx),
-            rref_rows=tuple(tuple(sorted(row.items())) for _, row in table.pivots),
+            basis=tuple(c for i, c in enumerate(table.classes) if i not in pivots),
+            rref_rows=tuple(tuple(sorted(row.items())) for _, row in rows),
         )
 
 

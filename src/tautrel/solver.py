@@ -129,14 +129,17 @@ def solve_nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:
 
 @dataclass
 class EquationCandidate:
+    """One nullspace direction: ``vector`` holds the values of the
+    unknowns of the general element ``E``."""
+
     vector: tuple[Fraction, ...]
-    formal_sum: FormalSum
+    E: SymbolicSum
     trivial: bool
 
-
-def _specialize(E: SymbolicSum, vector) -> FormalSum:
-    assignment = {i + 1: vector[i] for i in range(len(vector))}
-    return E.specialize(assignment)
+    @property
+    def formal_sum(self) -> FormalSum:
+        """The sum ``E`` at ``vector``, built on each read."""
+        return self.E.specialize({i + 1: x for i, x in enumerate(self.vector)})
 
 
 def filter_trivial(
@@ -180,10 +183,10 @@ def filter_trivial(
                     vec[i] += c * x
         trivial_vecs.append(vec)
 
-    out: list[EquationCandidate] = []
-    for v in trivial_vecs:
-        vec = _normalize_vector(v)
-        out.append(EquationCandidate(vec, _specialize(E, vec), trivial=True))
+    out = [EquationCandidate(_normalize_vector(v), E, trivial=True) for v in trivial_vecs]
+    if len(trivial_vecs) == len(solutions):
+        # every solution lies in the trivial span
+        return out
 
     # candidates: solutions reduced against the trivial span, kept only
     # while they grow the joint rank.  A reduced row is zero on the
@@ -198,8 +201,7 @@ def filter_trivial(
         full = [Fraction(0)] * n
         for i, x in row.items():
             full[i] = x
-        cand = _normalize_vector(full)
-        out.append(EquationCandidate(cand, _specialize(E, cand), trivial=False))
+        out.append(EquationCandidate(_normalize_vector(full), E, trivial=False))
     return out
 
 

@@ -163,6 +163,7 @@ def test_canonicalize_idempotent_on_random_graphs():
         )
         assert canonicalize(shuffled) == c
         assert dimension(shuffled) == dimension(g)
+        assert automorphism_count(shuffled) == automorphism_count(g)
 
 
 def _brute_force_automorphisms(g: DecoratedGraph) -> int:
@@ -222,6 +223,18 @@ def test_automorphism_labeled_components():
     assert automorphism_count(g) == 1
 
 
+def test_automorphism_double_edged_square():
+    # Vertices A, B, C, D as written: a cycle A-B-D-C-A of genus-0
+    # vertices with A-B (e0, e1) and C-D (e4, e5) doubled.
+    # The vertex bijections that keep the edges are the identity,
+    # (A B)(C D), (A C)(B D) and (A D)(B C): a Klein four group.  No
+    # other works, since swapping A and B alone would send the edge
+    # A-C to B-C.  Each of the two double edges can swap its parallel
+    # edges, 2! * 2!, and no edge is a loop: 4 * 2 * 2 = 16.
+    g = parse_graph("<e0 e1 e2>_0 <e0 e1 e3>_0 <e2 e4 e5>_0 <e3 e4 e5>_0")
+    assert automorphism_count(g) == 16
+
+
 def test_automorphism_fast_path_matches_brute_force():
     rng = random.Random(11)
     cases = [
@@ -230,8 +243,13 @@ def test_automorphism_fast_path_matches_brute_force():
         parse_graph("<1 e0 e0 e1 e1>_0"),
         parse_graph(EX),
         parse_graph("<1 e0 e1 e2>_0 <2 e0 e1 e2>_0"),
+        # vertex automorphisms other than the identity
+        parse_graph("<e0 e1 e2>_0 <e0 e1 e2>_0"),
+        parse_graph("<e0 e0 e1>_0 <e1 e2 e2>_0"),
+        parse_graph("<1 e0 e1>_0 <e0>_1 <e1>_1"),
+        parse_graph("<1 e0 e1>_0 <e0 e2>_1 <e1 e2>_1"),
     ]
-    while len(cases) < 15:
+    while len(cases) < 200:
         g = random_stable_graph(rng, max_half_edges=6)
         if 2 * len(g.edges) <= 6:
             cases.append(g)

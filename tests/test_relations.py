@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tautrel.echelon import Echelon
-from tautrel.graphs import _slots_at, symmetrize, validate
+from tautrel.graphs import _slots_at, canonicalize, symmetrize, validate
 from tautrel.gwi import GwiParseError, format_sum, parse_graph, parse_sum
 from tautrel.relations import (
     InductiveDataMissing,
@@ -78,6 +78,15 @@ def test_rewrite_preserves_normal_form(registry):
 
 
 # -- genus-1 recursion -------------------------------------------------------
+
+
+def test_genus0_rewrite_expands_the_whole_term():
+    # psi on a genus-0 vertex sends the whole term through the psi-free
+    # expansion, so the genus-1 psi of the same term goes as well
+    g = parse_graph("<1^1 2 3 e0>_0 <4^1 e0>_1")
+    out = genus0_trr_rewrite(FormalSum.single(g))
+    assert out == FormalSum(psi_free_expansion(canonicalize(g)))
+    assert not out.is_zero() and all(graph.psi_total() == 0 for graph, _ in out.terms())
 
 
 def test_one_point_recursion_constant():
@@ -463,6 +472,14 @@ def test_imported_file_convention(tmp_path):
     assert _fs("<1 e0 e0>_0") in rels
 
 
+def test_imported_relation_with_psi_is_expanded(tmp_path):
+    # psi_1 on M_1,1 is 1/24 of the loop class, so this imported
+    # relation expands to the zero row and leaves the basis alone
+    (tmp_path / "g1n1k1.gwi").write_text("<1^1>_1 - 1/24*<1 e0 e0>_0\n")
+    rb = RelationRegistry(tmp_path).relation_basis(1, 1, 1)
+    assert len(rb.basis) == 1 and rb.rref_rows == ()
+
+
 def test_registry_bad_line_names_file_and_line(tmp_path):
     (tmp_path / "g0n4k1.gwi").write_text(
         "# convention: glued-half-edges\n\n  # an indented comment\n1 2 3 4>_0\n"
@@ -489,3 +506,21 @@ def test_rewrite_outputs_golden():
         digest.update(format_sum(induce_by_forgetful(FormalSum.single(g))).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == "d9dd7d2027218d8b78b5f9b46c994032e951a17e03d1ae8f9466dc051283943f"
+
+
+def test_normal_form_outputs_golden():
+    # the byte-exact normal forms, as basis sums and as the coefficient
+    # sequence of their sorted coordinates, over a fixed corpus
+    registry = RelationRegistry()
+    rng = random.Random(2027)
+    graphs = small_strata() + [random_stable_graph(rng, max_half_edges=6) for _ in range(100)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        try:
+            nf = registry.normal_form(FormalSum.single(g), allow_incomplete=True)
+        except InductiveDataMissing:
+            digest.update(b"missing\n")
+            continue
+        digest.update(format_sum(nf.as_formal_sum()).encode())
+        digest.update((" %s\n" % [c for _, c in nf.items()]).encode())
+    assert digest.hexdigest() == "f18423c92e9512c143fb0a834fcc279649a6be454cc3da485c36052658fed6f5"

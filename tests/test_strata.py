@@ -107,7 +107,7 @@ def test_pruned_degenerations_match_reference():
         assert _one_edge_degenerations(graph) == _one_edge_degenerations_unpruned(graph), graph
 
 
-def _run_cli(argv, cwd, hashseed):
+def _run_cli(argv, cwd, hashseed, code=0):
     env = {k: v for k, v in os.environ.items() if k != "TAUT_REGISTRY_DIR"}
     env["PYTHONHASHSEED"] = str(hashseed)
     env["PYTHONPATH"] = str(SRC)
@@ -115,7 +115,7 @@ def _run_cli(argv, cwd, hashseed):
         [sys.executable, "-c", "import sys; from tautrel.cli import main; sys.exit(main())", *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout
 
 
@@ -128,8 +128,13 @@ def test_output_independent_of_hash_seed(tmp_path):
         report = _run_cli(["find", "-g", "1", "-n", "4", "-k", "2", "--boundary-only", "--out", "cand"], cwd, hashseed)
         psi = _run_cli(["find", "-g", "1", "-n", "4", "-k", "2", "--out", "psi"], cwd, hashseed)
         check = _run_cli(["check", "psi/candidate_g1n4k2_1.gwi"], cwd, hashseed)
+        # a sum that is not invariant: RESIDUAL and COORD lines
+        (cwd / "noninvariant.gwi").write_text("<1^1 2 3 e0>_0 <4 e0>_1 + <1 2 3 e0>_0 <4^1 e0>_1\n")
+        residual = _run_cli(["check", "noninvariant.gwi"], cwd, hashseed, code=1)
+        reduced = _run_cli(["reduce", "noninvariant.gwi"], cwd, hashseed)
         files = {p.relative_to(cwd): p.read_bytes() for d in ("cand", "psi") for p in sorted((cwd / d).iterdir())}
-        runs.append((listing, report, psi, check, files))
-    assert len(runs[0][4]) == 2, "a find wrote no candidate file"
+        runs.append((listing, report, psi, check, residual, reduced, files))
+    assert len(runs[0][-1]) == 2, "a find wrote no candidate file"
+    assert "RESIDUAL" in runs[0][4] and "COORD" in runs[0][4]
     assert runs[0] == runs[1]
 
