@@ -8,7 +8,6 @@ inductive data.  All numeric output is exact (reduced fractions).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -31,10 +30,10 @@ EXIT_MISSING_DATA = 3
 
 def _registry(args) -> RelationRegistry:
     # commands that reduce modulo relations need an existing root
-    root = args.registry or os.environ.get("TAUT_REGISTRY_DIR")
-    if root and not Path(root).is_dir():
-        raise ValueError("registry root %s does not exist" % root)
-    return RelationRegistry(root)
+    registry = RelationRegistry(args.registry or None)
+    if registry.root and not registry.root.is_dir():
+        raise ValueError("registry root %s does not exist" % registry.root)
+    return registry
 
 
 def _add_ambient(p):
@@ -91,20 +90,15 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_find(args) -> int:
-    registry = _registry(args)
-    try:
-        report = find_equations(
-            args.g,
-            args.n,
-            args.k,
-            registry,
-            lmax=args.lmax,
-            symmetrized=not args.no_symmetrize,
-            decorations="none" if args.boundary_only else "psi",
-        )
-    except InductiveDataMissing as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_MISSING_DATA
+    report = find_equations(
+        args.g,
+        args.n,
+        args.k,
+        _registry(args),
+        lmax=args.lmax,
+        symmetrized=not args.no_symmetrize,
+        decorations="none" if args.boundary_only else "psi",
+    )
     for line in report.lines():
         print(line)
     outdir = Path(args.out)
@@ -152,11 +146,7 @@ def cmd_check(args) -> int:
         return EXIT_BAD_INPUT
     (g, labels, k), = ambients
     lmax = args.lmax if args.lmax is not None else operator_index_bound(g, len(labels), k)
-    try:
-        reports = check_invariance(fs, range(1, lmax + 1), registry)
-    except InductiveDataMissing as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_MISSING_DATA
+    reports = check_invariance(fs, range(1, lmax + 1), registry)
     ok = True
     for l in sorted(reports):
         nf = reports[l]
@@ -167,8 +157,8 @@ def cmd_check(args) -> int:
             print("l=%d NONZERO" % l)
             print("  RESIDUAL %s" % format_sum(nf.as_formal_sum()))
             for key, coeff in nf.items():
-                amb = "x".join("(%d,%d,%d)" % (g_, len(lb), k_) for g_, lb, k_, _ in key)
-                print("  COORD %s %s" % (amb, coeff))
+                cls = format_graph(nf.basis_class(key))
+                print("  COORD %s %s %s" % (nf.key_ambient(key), cls, coeff))
     if lmax == 0:
         print("l-range empty (top codimension): vacuously invariant")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -177,11 +167,7 @@ def cmd_check(args) -> int:
 def cmd_reduce(args) -> int:
     registry = _registry(args)
     fs = _load_sum(args.file)
-    try:
-        nf = registry.normal_form(fs, allow_incomplete=True)
-    except InductiveDataMissing as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_MISSING_DATA
+    nf = registry.normal_form(fs, allow_incomplete=True)
     if nf.is_zero():
         print("ZERO")
     else:
@@ -204,6 +190,9 @@ def main(argv=None) -> int:
         # unreadable or malformed input, a registry file included
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
+    except InductiveDataMissing as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_MISSING_DATA
     raise AssertionError("unreachable")
 
 

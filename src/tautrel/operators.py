@@ -166,11 +166,6 @@ def _fresh_labels(labels) -> tuple[int, int]:
     return out[0], out[1]
 
 
-def r_graph(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
-    """The full operator on a single graph with explicit new labels."""
-    return cut_edges(g, l, i, j) + reduce_genus(g, l, i, j) + split_vertices(g, l, i, j)
-
-
 def apply_r(e, l: int):
     """Linear extension of the operator to a FormalSum or SymbolicSum.
 
@@ -189,6 +184,7 @@ def apply_r(e, l: int):
     i, j = _fresh_labels(labels)
     out: list = []
     for graph, coeff in e.terms():
-        for piece, frac in r_graph(graph, l, i, j).terms():
-            out.append((piece, coeff * frac))
+        for surgery in (cut_edges, reduce_genus, split_vertices):
+            for piece, frac in surgery(graph, l, i, j).terms():
+                out.append((piece, coeff * frac))
     return type(e)(out)

@@ -3,14 +3,18 @@
 Two mechanisms cooperate:
 
 * deterministic rewrites that eliminate every psi decoration sitting
-  on a genus-0 or genus-1 vertex, trading it for boundary terms
-  (genus-0 topological recursion, and its genus-1 analogue with the
-  1/24 nonseparating term);
+  on a genus-0 or genus-1 vertex, trading it for boundary terms: at
+  genus 0, psi at slot ref is the boundary expression D(ref | b,c),
+  the sum of all splittings keeping ref apart from two reference
+  slots b, c (topological recursion); at genus 1 the separating
+  splittings plus 1/24 of the nonseparating term;
 
 * exact linear algebra over the psi-free boundary strata of each
-  ambient, modulo the span of the four-point relations of genus-0
-  vertices and all their derivatives (hosts ranging over the strata
-  of the ambient).
+  ambient, modulo the span of the four-point relations
+  D(a,b | c,d) = D(a,c | b,d) of genus-0 vertices and all their
+  derivatives (hosts ranging over the strata of the ambient).
+
+Both boundary expressions come from one splitting kernel.
 
 A possibly disconnected class decomposes into connected components;
 the basis of a product ambient is the product of the per-factor bases
@@ -70,27 +74,34 @@ class InductiveDataMissing(RuntimeError):
 # vertex splitting shared by the rewrites and the four-point relations
 
 
-def _linked_splits(g: DecoratedGraph, v: int, genera, zero_sides, dec=None):
+def _linked_splits(g: DecoratedGraph, v: int, genera, side0, side1, dec=None):
     """The valid splittings of vertex v into two vertices of the given
     genera joined by a new edge.
 
-    For each slot set in ``zero_sides`` those slots stay at v and the
-    others move to the new vertex; kappa factors distribute in all
-    ways, and the psi power at slot ``dec`` drops by one.
+    The ``side0`` slots stay at v, the ``side1`` slots move to the new
+    vertex and every other slot goes either way; kappa factors
+    distribute in all ways, and the psi power at slot ``dec`` drops by
+    one.  Subset sizes that leave a half unstable are skipped unbuilt.
     """
     nb = g.n_vertices
     slots = [s for s, _ in _slots_at(g, v)]
+    free = [s for s in slots if s not in side0 and s not in side1]
     before, after = g.vertices[:v], g.vertices[v + 1 :]
     psi = {} if dec is None else {dec: -1}
     link = ((End(v, 0), End(nb, 0)),)
     out = []
-    for zero in zero_sides:
-        move = {s: nb for s in slots if s not in zero}
-        for k1, k2 in _kappa_splits(g.vertices[v].kappa):
-            verts = before + (Vertex(genera[0], k1),) + after + (Vertex(genera[1], k2),)
-            cand = _rewire(g, verts, move, psi, edges=link)
-            if is_valid(cand):
-                out.append(cand)
+    for t in range(len(free) + 1):
+        # each half keeps its slots plus one end of the new edge
+        n0 = len(side0) + t
+        if 2 * genera[0] - 1 + n0 <= 0 or 2 * genera[1] - 1 + len(slots) - n0 <= 0:
+            continue
+        for extra in itertools.combinations(free, t):
+            move = {s: nb for s in slots if s not in side0 and s not in extra}
+            for k1, k2 in _kappa_splits(g.vertices[v].kappa):
+                verts = before + (Vertex(genera[0], k1),) + after + (Vertex(genera[1], k2),)
+                cand = _rewire(g, verts, move, psi, edges=link)
+                if is_valid(cand):
+                    out.append(cand)
     return out
 
 
@@ -108,14 +119,9 @@ def _genus0_step(g: DecoratedGraph, v: int, ref, opposite=None) -> list[tuple[De
     halves.  The result is independent of the reference choice modulo
     the four-point relations, which is tested rather than assumed.
     """
-    others = sorted(s for s, _ in _slots_at(g, v) if s != ref)
     if opposite is None:
-        opposite = (others[0], others[1])
-    rest = [s for s in others if s not in opposite]
-    zero_sides = (
-        (ref,) + extra for t in range(1, len(rest) + 1) for extra in itertools.combinations(rest, t)
-    )
-    return [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), zero_sides, ref)]
+        opposite = sorted(s for s, _ in _slots_at(g, v) if s != ref)[:2]
+    return [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), (ref,), opposite, ref)]
 
 
 def _genus1_step(g: DecoratedGraph, v: int, ref) -> list[tuple[DecoratedGraph, Fraction]]:
@@ -130,11 +136,7 @@ def _genus1_step(g: DecoratedGraph, v: int, ref) -> list[tuple[DecoratedGraph, F
     verts = g.vertices[:v] + (Vertex(vert.genus - 1, vert.kappa),) + g.vertices[v + 1 :]
     loop = _rewire(g, verts, psi={ref: -1}, edges=((End(v, 0), End(v, 0)),))
     out = [(loop, Fraction(1, 24))] if is_valid(loop) else []
-    others = sorted(s for s, _ in _slots_at(g, v) if s != ref)
-    zero_sides = (
-        (ref,) + extra for t in range(1, len(others) + 1) for extra in itertools.combinations(others, t)
-    )
-    return out + [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 1), zero_sides, ref)]
+    return out + [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 1), (ref,), (), ref)]
 
 
 def _first_psi_slot(g: DecoratedGraph, genus: int):
@@ -217,29 +219,22 @@ def wdvv_expand(g: DecoratedGraph, v: int, pair_a, pair_b) -> FormalSum:
     vertex: the sum of all splittings with pair_a on one half and
     pair_b on the other, remaining slots and kappa factors distributed
     in all ways."""
-    chosen = set(pair_a) | set(pair_b)
-    rest = [s for s, _ in _slots_at(g, v) if s not in chosen]
-    zero_sides = (
-        tuple(pair_a) + extra for t in range(len(rest) + 1) for extra in itertools.combinations(rest, t)
-    )
-    return FormalSum([(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), zero_sides)])
+    return FormalSum([(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), pair_a, pair_b)])
 
 
-def wdvv_relations(host: DecoratedGraph, vertex: int, points=None) -> list[FormalSum]:
+def wdvv_relations(host: DecoratedGraph, vertex: int) -> list[FormalSum]:
     """Relations from one host stratum and one genus-0 vertex.
 
-    ``points``: four slot references on the vertex; if omitted, all
-    4-subsets are used.  Each choice contributes the two independent
-    differences of the three 2|2 boundary expressions.
+    Each 4-subset of the slots on the vertex contributes the two
+    independent differences of the three 2|2 boundary expressions.
     """
     if host.vertices[vertex].genus != 0:
         raise ValueError("marked vertex must have genus 0")
     refs = sorted(s for s, _ in _slots_at(host, vertex))
     if len(refs) < 4:
         raise ValueError("marked vertex must have valence >= 4")
-    choices = [tuple(points)] if points else list(itertools.combinations(refs, 4))
     out = []
-    for (a, b, c, d) in choices:
+    for (a, b, c, d) in itertools.combinations(refs, 4):
         e1 = wdvv_expand(host, vertex, (a, b), (c, d))
         e2 = wdvv_expand(host, vertex, (a, c), (b, d))
         e3 = wdvv_expand(host, vertex, (a, d), (b, c))
@@ -354,14 +349,19 @@ class NormalForm:
     def items(self):
         return sorted(self.coords.items())
 
-    def as_formal_sum(self) -> FormalSum:
+    @staticmethod
+    def key_ambient(key) -> str:
+        """The ambient of a key: "(g,n,k)" per component, joined by "x"."""
+        return "x".join("(%d,%d,%d)" % (g, len(labels), k) for g, labels, k, _ in key)
+
+    def basis_class(self, key) -> DecoratedGraph:
+        """The product of the basis classes that ``key`` names."""
         if self._registry is None:
             raise ValueError("normal form not attached to a registry")
-        terms = []
-        for key, coeff in self.items():
-            graphs = [self._registry._basis_graph(part) for part in key]
-            terms.append((disjoint_union(graphs), coeff))
-        return FormalSum(terms)
+        return disjoint_union(self._registry._basis_graph(part) for part in key)
+
+    def as_formal_sum(self) -> FormalSum:
+        return FormalSum([(self.basis_class(key), coeff) for key, coeff in self.items()])
 
     def __eq__(self, other):
         return isinstance(other, NormalForm) and self.coords == other.coords

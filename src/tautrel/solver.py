@@ -17,7 +17,7 @@ from fractions import Fraction
 from .echelon import Echelon
 from .graphs import DecoratedGraph, symmetrize
 from .operators import apply_r
-from .relations import RelationRegistry
+from .relations import NormalForm, RelationRegistry
 from .strata import enumerate_classes
 from .sums import FormalSum, LinForm, SymbolicSum
 
@@ -108,13 +108,9 @@ def invariance_system(
         image = apply_r(E, l)
         coords = registry.normal_coords(image.terms())
         for key in sorted(coords):
-            prov = "l=%d %s" % (l, _ambient_of_key(key))
+            prov = "l=%d %s" % (l, NormalForm.key_ambient(key))
             system.add_row(coords[key], prov)
     return system
-
-
-def _ambient_of_key(key) -> str:
-    return "x".join("(%d,%d,%d)" % (g, len(labels), k) for g, labels, k, _ in key)
 
 
 def solve_nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:

@@ -16,6 +16,7 @@ produced.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .graphs import (
@@ -76,45 +77,29 @@ def _vertex_decorations(graph: DecoratedGraph, budget: int, with_kappa: bool):
     and kappa over its vertices, total degree == budget, keeping every
     vertex factor nonnegative."""
     slots = [s for v in range(graph.n_vertices) for s, _ in _slots_at(graph, v)]
-    results = []
-
-    def assign(idx, remaining, psi_of):
-        if idx == len(slots):
-            if with_kappa:
-                for kappas in _kappa_assignments(graph, remaining):
-                    results.append((dict(psi_of), kappas))
-            elif remaining == 0:
-                results.append((dict(psi_of), {}))
-            return
-        for p in range(remaining + 1):
-            psi_of[slots[idx]] = p
-            assign(idx + 1, remaining - p, psi_of)
-        del psi_of[slots[idx]]
-
-    def _kappa_assignments(graph, deg):
-        vs = list(range(graph.n_vertices))
-
-        def rec(i, remaining, acc):
-            if i == len(vs):
-                if remaining == 0:
-                    yield dict(acc)
-                return
-            for d in range(remaining + 1):
-                for part in _partitions(d):
-                    acc[vs[i]] = tuple(part)
-                    yield from rec(i + 1, remaining - d, acc)
-            acc.pop(vs[i], None)
-
-        yield from rec(0, deg, {})
-
-    assign(0, budget, {})
+    monomials = [tuple(p) for d in range(budget + 1) for p in _partitions(d)] if with_kappa else [()]
     out = []
-    for psi_of, kappas in results:
-        verts = [Vertex(vert.genus, kappas.get(v, ())) for v, vert in enumerate(graph.vertices)]
-        cand = _rewire(graph, verts, psi=psi_of)
-        if min(_valences_and_dimensions(cand)[1]) >= 0:
-            out.append(cand)
+    for kappas in itertools.product(monomials, repeat=graph.n_vertices):
+        rest = budget - sum(map(sum, kappas))
+        if rest < 0:
+            continue
+        verts = [Vertex(vert.genus, kappa) for vert, kappa in zip(graph.vertices, kappas)]
+        for powers in _compositions(rest, len(slots)):
+            cand = _rewire(graph, verts, psi=dict(zip(slots, powers)))
+            if min(_valences_and_dimensions(cand)[1]) >= 0:
+                out.append(cand)
     return out
+
+
+def _compositions(total: int, parts: int):
+    """The tuples of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def _partitions(n: int, max_part: int | None = None):

@@ -208,3 +208,37 @@ def test_bad_registry_file_exit_2(tmp_path, capsys, command, text, registry_text
     code, _, err = run(capsys, "--registry", str(reg), command, str(f))
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+# (1,4,2) needs imported relations, a genus-2 factor has none at all
+@pytest.mark.parametrize("argv, text", [
+    (["find", "-g", "2", "-n", "2", "-k", "2", "--boundary-only"], None),
+    (["check"], "<1 2 3 e0>_1 <e0>_1"),
+    (["reduce"], "<1 2>_2"),
+])
+def test_missing_inductive_data_exit_3(tmp_path, capsys, argv, text):
+    if text is None:
+        argv = argv + ["--out", str(tmp_path)]
+    else:
+        f = tmp_path / "s.gwi"
+        f.write_text(text + "\n")
+        argv = argv + [str(f)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: inductive data missing")
+    assert out == ""
+
+
+def test_check_coord_lines_name_their_basis_class(tmp_path, capsys):
+    f = tmp_path / "s.gwi"
+    f.write_text("<1^1 2 3 4 5>_0\n")
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 1
+    coords = [l for l in out.splitlines() if l.startswith("  COORD ")]
+    assert len(coords) == 12
+    assert len(set(coords)) == 12
+    for line in coords:
+        _, amb, rest = line.split(None, 2)
+        cls, coeff = rest.rsplit(" ", 1)
+        assert amb == "(0,4,1)x(0,3,0)" and coeff == "-1/2"
+        parse_graph(cls)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -105,6 +106,19 @@ def test_pruned_degenerations_match_reference():
     graphs = small_strata() + [random_stable_graph(rng) for _ in range(200)]
     for graph in graphs:
         assert _one_edge_degenerations(graph) == _one_edge_degenerations_unpruned(graph), graph
+
+
+def test_enumeration_golden():
+    # the byte-exact class lists of the decoration enumerator, nine
+    # ambients in each decoration mode
+    digest = hashlib.sha256()
+    for g, n, k in [(0, 5, 2), (0, 6, 2), (0, 6, 3), (1, 3, 2), (1, 4, 2), (1, 4, 3),
+                    (2, 2, 2), (1, 2, 3), (2, 1, 3)]:
+        for decorations in ("none", "psi", "psi_kappa"):
+            digest.update(("%d %d %d %s\n" % (g, n, k, decorations)).encode())
+            for c in enumerate_classes(g, n, k, decorations=decorations):
+                digest.update((format_graph(c) + "\n").encode())
+    assert digest.hexdigest() == "51f06f609ee46bc25a2049fce3b16f3d61512e2e9757d95231c48e92b33e61aa"
 
 
 def _run_cli(argv, cwd, hashseed, code=0):
