@@ -177,14 +177,14 @@ def apply_r(e, l: int):
         raise ValueError("l must be >= 1")
     if e.is_zero():
         return type(e)()
-    ambients = {(g.total_genus(), g.external_labels()) for g, _ in e.terms()}
+    ambients = {(g.total_genus(), g.external_labels()) for g, _ in e.items()}
     if len(ambients) > 1:
         raise AmbientMismatchError("mixed ambients %s" % sorted(ambients))
     (_, labels), = ambients
     i, j = _fresh_labels(labels)
     out: list = []
-    for graph, coeff in e.terms():
+    for graph, coeff in e.items():
         for surgery in (cut_edges, reduce_genus, split_vertices):
-            for piece, frac in surgery(graph, l, i, j).terms():
+            for piece, frac in surgery(graph, l, i, j).items():
                 out.append((piece, coeff * frac))
     return type(e)(out)

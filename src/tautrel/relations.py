@@ -19,7 +19,9 @@ Both boundary expressions come from one splitting kernel.
 A possibly disconnected class decomposes into connected components;
 the basis of a product ambient is the product of the per-factor bases
 and a normal form is a sparse vector indexed by (component ambient,
-basis element) tuples.
+basis element) tuples.  Each component is relabelled
+order-preservingly to 1..m, which keeps every choice the psi rewrites
+make, and its expansion is reduced once per such class and memoised.
 
 Supported inductive range: genus-0 factors of any size, genus-1
 factors generated completely for at most three special points.  A
@@ -33,6 +35,7 @@ as imported registry files, otherwise the registry refuses with
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,6 +153,15 @@ def _first_psi_slot(g: DecoratedGraph, genus: int):
     return None
 
 
+def _refuse_psi_above_genus_one(g: DecoratedGraph):
+    """Refuse psi on a genus >= 2 vertex, naming its component's ambient."""
+    for v, vert in enumerate(g.vertices):
+        if vert.genus >= 2 and any(p > 0 for _, p in _slots_at(g, v)):
+            sub = g.subgraph(next(c for c in g.components() if v in c))
+            amb = (sub.total_genus(), len(sub.legs), sub.codimension())
+            raise InductiveDataMissing(amb, "psi on a genus-%d vertex" % vert.genus)
+
+
 @lru_cache(maxsize=None)
 def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, Fraction], ...]:
     """Rewrite a valid graph into psi-free boundary classes.
@@ -159,14 +171,7 @@ def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, Fractio
     Raises InductiveDataMissing on a psi power carried by a vertex of
     genus >= 2.
     """
-    for v, vert in enumerate(g.vertices):
-        if vert.genus >= 2 and any(p > 0 for _, p in _slots_at(g, v)):
-            comp = [c for c in g.components() if v in c][0]
-            sub = g.subgraph(comp)
-            raise InductiveDataMissing(
-                (sub.total_genus(), len(sub.legs), sub.codimension()),
-                "psi on a genus-%d vertex" % vert.genus,
-            )
+    _refuse_psi_above_genus_one(g)
     hit = _first_psi_slot(g, 1)
     step = _genus1_step if hit is not None else _genus0_step
     if hit is None:
@@ -393,6 +398,7 @@ class RelationRegistry:
         self._tables: dict[tuple[int, int, int], _Table] = {}
         self._relations: dict[tuple[int, int, int], list[FormalSum]] = {}
         self._extra: dict[tuple[int, int, int], list[FormalSum]] = {}
+        # (normalised component, allow_incomplete) -> (genus, codim), coords
         self._factors: dict[tuple[DecoratedGraph, bool], tuple] = {}
 
     # -- relation generation -------------------------------------------
@@ -504,56 +510,66 @@ class RelationRegistry:
     # -- normal forms ------------------------------------------------------
 
     def normal_coords(self, terms, allow_incomplete: bool = False):
-        """Generic engine: terms are (graph, coefficient) with any
-        coefficient supporting addition and Fraction scaling."""
+        """Generic engine: terms are (graph, coefficient), iterable in
+        any order and more than once, with any coefficient supporting
+        addition and Fraction scaling.  Each connected component
+        reduces on its own, relabelled order-preservingly to 1..m, and
+        the coordinates multiply.  A refusal names the first term in
+        sort_key order, and its first component, that lacks data."""
         out: dict = {}
-        for graph, coeff in terms:
-            for flat, frac in psi_free_expansion(canonicalize(graph)):
-                for combo in itertools.product(*self._flat_factors(flat, allow_incomplete)):
+        try:
+            for graph, coeff in terms:
+                graph = canonicalize(graph)
+                _refuse_psi_above_genus_one(graph)
+                comps = []
+                for comp in graph.component_graphs():
+                    labels = comp.external_labels()
+                    relab = {a: i + 1 for i, a in enumerate(labels)}
+                    comps.append((labels, canonicalize(comp.relabel(relab))))
+                # an empty expansion makes the term zero before any table can
+                # refuse; a memoised component has a nonempty one
+                if not all((c, allow_incomplete) in self._factors or psi_free_expansion(c)
+                           for _, c in comps):
+                    continue
+                factors = []
+                for labels, comp in comps:
+                    (g, k), coords = self._component_coords(comp, allow_incomplete)
+                    factors.append([((g, labels, k, b), x) for b, x in coords])
+                for combo in itertools.product(*factors):
                     key = tuple(sorted(part for part, _ in combo))
-                    f = frac
-                    for _, x in combo:
-                        f = f * x
-                    piece = coeff * f
-                    if key in out:
-                        out[key] = out[key] + piece
-                    else:
-                        out[key] = piece
+                    piece = coeff * math.prod(x for _, x in combo)
+                    out[key] = out[key] + piece if key in out else piece
+        except InductiveDataMissing:  # equal sums refuse alike, whatever the order
+            for term in sorted(terms, key=lambda t: sort_key(t[0])):
+                if sort_key(term[0]) >= sort_key(graph):
+                    raise
+                self.normal_coords([term], allow_incomplete)
         return {k: c for k, c in out.items() if c}
 
-    def _flat_factors(self, flat: DecoratedGraph, allow_incomplete: bool):
-        """Per connected component of a psi-free graph, its reduced
-        coordinates as ((genus, labels, codim, class index), coeff),
-        the class index naming a basis class; memoised on success, so
-        a refusal is raised every time."""
-        key = (flat, allow_incomplete)
+    def _component_coords(self, comp: DecoratedGraph, allow_incomplete: bool):
+        """(genus, codimension) and the sorted (class index, coefficient)
+        pairs of the reduced label-normalised canonical connected graph;
+        memoised on success, so a refusal is raised every time."""
+        key = (comp, allow_incomplete)
         if key not in self._factors:
-            factors = []
-            for comp in flat.component_graphs():
-                labels = comp.external_labels()
-                relab = {lab: i + 1 for i, lab in enumerate(labels)}
-                cn = canonicalize(comp.relabel(relab))
-                amb = (comp.total_genus(), len(labels), comp.codimension())
-                table = self._table(*amb, allow_incomplete=allow_incomplete)
-                if cn not in table.index:
-                    raise InductiveDataMissing(
-                        amb, "class outside the generated ambient (kappa?)"
-                    )
-                red = table.echelon.reduce({table.index[cn]: Fraction(1)})
-                factors.append(
-                    tuple(((amb[0], labels, amb[2], b), red[b]) for b in sorted(red))
-                )
-            self._factors[key] = tuple(factors)
+            amb = (comp.total_genus(), len(comp.legs), comp.codimension())
+            table = self._table(*amb, allow_incomplete=allow_incomplete)
+            row: dict[int, Fraction] = {}
+            for flat, frac in psi_free_expansion(comp):
+                if flat not in table.index:
+                    raise InductiveDataMissing(amb, "class outside the generated ambient (kappa?)")
+                row[table.index[flat]] = row.get(table.index[flat], Fraction(0)) + frac
+            self._factors[key] = ((amb[0], amb[2]), sorted(table.echelon.reduce(row).items()))
         return self._factors[key]
 
     def normal_form(self, e, allow_incomplete: bool = False) -> NormalForm:
         if isinstance(e, SymbolicSum):
             raise TypeError("use normal_coords for symbolic sums")
-        return NormalForm(self.normal_coords(e.terms(), allow_incomplete), self)
+        return NormalForm(self.normal_coords(e.items(), allow_incomplete), self)
 
     def is_zero_modulo(self, e, allow_incomplete: bool = False) -> bool:
         if isinstance(e, SymbolicSum):
-            return not self.normal_coords(e.terms(), allow_incomplete)
+            return not self.normal_coords(e.items(), allow_incomplete)
         return self.normal_form(e, allow_incomplete).is_zero()
 
     def _basis_graph(self, part) -> DecoratedGraph:
@@ -575,7 +591,7 @@ class RelationRegistry:
         for cls in reversed(list(classes)):
             if isinstance(cls, DecoratedGraph):
                 cls = FormalSum.single(cls)
-            if echelon.add(self.normal_coords(cls.terms(), allow_incomplete)):
+            if echelon.add(self.normal_coords(cls.items(), allow_incomplete)):
                 chosen.append(cls)
         return list(reversed(chosen))
 

@@ -106,7 +106,7 @@ def invariance_system(
     system = LinearSystem(max(unknowns, default=0))
     for l in l_range:
         image = apply_r(E, l)
-        coords = registry.normal_coords(image.terms())
+        coords = registry.normal_coords(image.items())
         for key in sorted(coords):
             prov = "l=%d %s" % (l, NormalForm.key_ambient(key))
             system.add_row(coords[key], prov)
@@ -157,7 +157,7 @@ def filter_trivial(
     # of the source ambient (an incomplete quotient by design: a
     # direction is trivial iff it is a consequence of inductive data)
     class_coords: dict[int, list] = {}
-    for key, form in registry.normal_coords(E.terms(), allow_incomplete=True).items():
+    for key, form in registry.normal_coords(E.items(), allow_incomplete=True).items():
         for i, c in form.coeffs.items():
             class_coords.setdefault(i - 1, []).append((key, c))
 

@@ -75,30 +75,33 @@ def stable_graphs(g: int, n: int, num_edges: int) -> tuple[DecoratedGraph, ...]:
 def _vertex_decorations(graph: DecoratedGraph, budget: int, with_kappa: bool):
     """Distributions of psi powers over the slots of a psi-free graph
     and kappa over its vertices, total degree == budget, keeping every
-    vertex factor nonnegative."""
-    slots = [s for v in range(graph.n_vertices) for s, _ in _slots_at(graph, v)]
+    vertex factor nonnegative: a vertex takes at most its dimension,
+    less its kappa degree, in psi."""
+    slots = [[s for s, _ in _slots_at(graph, v)] for v in range(graph.n_vertices)]
+    dims = _valences_and_dimensions(graph)[1]
     monomials = [tuple(p) for d in range(budget + 1) for p in _partitions(d)] if with_kappa else [()]
     out = []
     for kappas in itertools.product(monomials, repeat=graph.n_vertices):
         rest = budget - sum(map(sum, kappas))
-        if rest < 0:
-            continue
+        caps = [d - sum(kappa) for d, kappa in zip(dims, kappas)]
         verts = [Vertex(vert.genus, kappa) for vert, kappa in zip(graph.vertices, kappas)]
-        for powers in _compositions(rest, len(slots)):
-            cand = _rewire(graph, verts, psi=dict(zip(slots, powers)))
-            if min(_valences_and_dimensions(cand)[1]) >= 0:
-                out.append(cand)
+        for degrees in _compositions(rest, len(caps), caps):
+            for powers in itertools.product(*map(_compositions, degrees, map(len, slots))):
+                psi = dict(zip(itertools.chain(*slots), itertools.chain(*powers)))
+                out.append(_rewire(graph, verts, psi=psi))
     return out
 
 
-def _compositions(total: int, parts: int):
-    """The tuples of ``parts`` nonnegative integers summing to ``total``."""
+def _compositions(total: int, parts: int, caps=None):
+    """The tuples of ``parts`` nonnegative integers summing to
+    ``total``, each at most its entry of ``caps`` when given."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    top = total if caps is None else min(total, caps[0])
+    for first in range(top + 1):
+        for rest in _compositions(total - first, parts - 1, caps and caps[1:]):
             yield (first,) + rest
 
 

@@ -121,8 +121,9 @@ class _GraphSum:
     def terms(self) -> list[tuple[DecoratedGraph, object]]:
         return sorted(self._terms.items(), key=lambda t: sort_key(t[0]))
 
-    def graphs(self) -> list[DecoratedGraph]:
-        return [g for g, _ in self.terms()]
+    def items(self):
+        """The (graph, coefficient) pairs, unordered."""
+        return self._terms.items()
 
     def coefficient(self, graph: DecoratedGraph):
         return self._terms.get(canonicalize(graph))

@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from tautrel.graphs import DecoratedGraph, End, Leg, Vertex, canonicalize, is_valid
+from tautrel.graphs import (
+    DecoratedGraph,
+    End,
+    Leg,
+    Vertex,
+    canonicalize,
+    disjoint_union,
+    is_valid,
+)
 from tautrel.gwi import parse_graph
 from tautrel.relations import RelationRegistry
 
@@ -82,6 +90,20 @@ def random_stable_graph(rng: random.Random, max_half_edges=8, max_genus=2,
             continue
         return cand
     raise RuntimeError("random generator failed to produce a valid graph")
+
+
+def random_disconnected_graph(rng: random.Random, **kwargs):
+    """Two ``random_stable_graph``s side by side, with the external
+    labels 1..n shuffled across both components."""
+    a = random_stable_graph(rng, **kwargs)
+    b = random_stable_graph(rng, **kwargs)
+    na, nb = len(a.legs), len(b.legs)
+    labels = list(range(1, na + nb + 1))
+    rng.shuffle(labels)
+    return disjoint_union([
+        a.relabel(dict(zip(range(1, na + 1), labels[:na]))),
+        b.relabel(dict(zip(range(1, nb + 1), labels[na:]))),
+    ])
 
 
 def small_strata():

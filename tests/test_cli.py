@@ -229,6 +229,28 @@ def test_missing_inductive_data_exit_3(tmp_path, capsys, argv, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("texts, named", [
+    # both genus-2 components lack data: the first in the canonical
+    # graph's component order is named, however the input lists them
+    (
+        ("<1 3^1 4 e0 e0>_1 <2^1 e1 e1^1>_1", "<2^1 e1 e1^1>_1 <1 3^1 4 e0 e0>_1"),
+        "(2, 3, 2): genus >= 2 factor",
+    ),
+    # both terms lack data: the first in sort_key order is named
+    (
+        ("<1 2 3^1>_2 + <1 2 3 e0 e0>_1", "<1 2 3 e0 e0>_1 + <1 2 3^1>_2"),
+        "(2, 3, 1): genus >= 2 factor",
+    ),
+])
+def test_refusal_names_first_lacking_data(tmp_path, capsys, texts, named):
+    f = tmp_path / "s.gwi"
+    for text in texts:
+        f.write_text(text + "\n")
+        code, out, err = run(capsys, "reduce", str(f))
+        assert (code, out) == (3, "")
+        assert err == "error: inductive data missing for (g,n,k)=%s\n" % named
+
+
 def test_check_coord_lines_name_their_basis_class(tmp_path, capsys):
     f = tmp_path / "s.gwi"
     f.write_text("<1^1 2 3 4 5>_0\n")

@@ -24,7 +24,7 @@ from tautrel.relations import (
 )
 from tautrel.sums import FormalSum
 
-from conftest import random_stable_graph, small_strata
+from conftest import random_disconnected_graph, random_stable_graph, small_strata
 
 
 def _fs(text):
@@ -389,6 +389,26 @@ def test_memoised_factors_keep_refusing():
     assert reg.normal_form(cls, allow_incomplete=True) == nf
 
 
+def test_component_memo_reaches_relabelled_components():
+    # each component of the second graph is an order-preserving
+    # relabelling of one of the first: no new memo entry, and the same
+    # coordinates with the labels mapped
+    reg = RelationRegistry()
+    first = parse_graph("<1^1 3 5 7 9>_0 <2 4 6>_0")
+    mapping = {1: 2, 3: 3, 5: 5, 7: 6, 9: 8, 2: 1, 4: 4, 6: 7}
+    nf = reg.normal_form(FormalSum.single(first))
+    entries = len(reg._factors)
+    moved = reg.normal_form(FormalSum.single(first.relabel(mapping)))
+    assert len(reg._factors) == entries and not nf.is_zero()
+
+    def mapped(part):
+        g, labels, k, idx = part
+        return (g, tuple(sorted(mapping[a] for a in labels)), k, idx)
+
+    assert moved.coords == {tuple(sorted(map(mapped, key))): c for key, c in nf.coords.items()}
+    assert moved.as_formal_sum() == nf.as_formal_sum().relabel(mapping)
+
+
 def test_kappa_class_not_reducible(registry):
     with pytest.raises(InductiveDataMissing):
         registry.normal_form(FormalSum.single(parse_graph("<1 2 3 4>_0[k1]")))
@@ -524,3 +544,26 @@ def test_normal_form_outputs_golden():
         digest.update(format_sum(nf.as_formal_sum()).encode())
         digest.update((" %s\n" % [c for _, c in nf.items()]).encode())
     assert digest.hexdigest() == "f18423c92e9512c143fb0a834fcc279649a6be454cc3da485c36052658fed6f5"
+
+
+def test_disconnected_normal_form_outputs_golden():
+    # the byte-exact normal forms of two-component graphs whose labels
+    # interleave across the components, with and without complete data;
+    # every other graph may carry a genus-2 component
+    registry = RelationRegistry()
+    rng = random.Random(2028)
+    graphs = [
+        random_disconnected_graph(rng, max_half_edges=6, max_genus=1 + i % 2)
+        for i in range(300)
+    ]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for allow_incomplete in (True, False):
+            try:
+                nf = registry.normal_form(FormalSum.single(g), allow_incomplete=allow_incomplete)
+            except InductiveDataMissing:
+                digest.update(b"missing\n")
+                continue
+            digest.update(format_sum(nf.as_formal_sum()).encode())
+            digest.update((" %s\n" % [c for _, c in nf.items()]).encode())
+    assert digest.hexdigest() == "245afa95a0915590fdbe7a73b12f1940dc2904bef6f14fa92478a883d229ebe0"
