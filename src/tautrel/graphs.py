@@ -186,8 +186,12 @@ class DecoratedGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def subgraph(self, vertex_set: Sequence[int]) -> "DecoratedGraph":
-        """Restriction to a union of connected components."""
+    def subgraph(
+        self, vertex_set: Sequence[int], mapping: Mapping[int, int] | None = None
+    ) -> "DecoratedGraph":
+        """Restriction to a union of connected components, with the
+        external labels in ``mapping`` renamed as in :meth:`relabel`."""
+        rename = (mapping or {}).get
         vs = sorted(vertex_set)
         pos = {v: i for i, v in enumerate(vs)}
         for e in self.edges:
@@ -195,7 +199,7 @@ class DecoratedGraph:
                 raise ValueError("vertex set cuts an edge; not a component union")
         return DecoratedGraph(
             tuple(self.vertices[v] for v in vs),
-            tuple(Leg(pos[l.vertex], l.label, l.psi) for l in self.legs if l.vertex in pos),
+            tuple(Leg(pos[l.vertex], rename(l.label, l.label), l.psi) for l in self.legs if l.vertex in pos),
             tuple(
                 (End(pos[e[0].vertex], e[0].psi), End(pos[e[1].vertex], e[1].psi))
                 for e in self.edges
@@ -203,8 +207,16 @@ class DecoratedGraph:
             ),
         )
 
-    def component_graphs(self) -> list["DecoratedGraph"]:
-        return [self.subgraph(c) for c in self.components()]
+    def normalised_components(self) -> list[tuple[tuple[int, ...], "DecoratedGraph"]]:
+        """(external labels, canonical component) per connected
+        component in ``components()`` order, the component's labels
+        renamed order-preservingly to 1..m in the one graph it builds."""
+        out = []
+        for vs in self.components():
+            labels = tuple(sorted(l.label for l in self.legs if l.vertex in vs))
+            rank = {a: i + 1 for i, a in enumerate(labels)}
+            out.append((labels, canonicalize(self.subgraph(vs, rank))))
+        return out
 
     # -- relabelling ------------------------------------------------------
 
@@ -508,6 +520,17 @@ def canonicalize(g: DecoratedGraph) -> DecoratedGraph:
             for e in g.edges
         ),
     )
+
+
+def _relabelling_orbit(g: DecoratedGraph):
+    """(orbit key, slot labels) of ``g`` under renaming its external
+    labels.  The key is the canonical encoding with every label merged
+    into one; the slot labels list the legs by (canonical vertex
+    position, psi, label).  Two graphs with equal keys differ by the
+    renaming that pairs their slot labels position by position."""
+    enc, order, _ = _canonical_order(g.relabel(dict.fromkeys(g.external_labels(), 0)))
+    pos = {v: i for i, v in enumerate(order)}
+    return enc, tuple(l.label for l in sorted(g.legs, key=lambda l: (pos[l.vertex], l.psi, l.label)))
 
 
 @lru_cache(maxsize=None)

@@ -166,6 +166,20 @@ def _fresh_labels(labels) -> tuple[int, int]:
     return out[0], out[1]
 
 
+def _image_labels(e, l: int):
+    """The labels i, j that the new half-edges of r_l(e) receive, or
+    None when e is zero; refuses l < 1 and mixed ambients."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if e.is_zero():
+        return None
+    ambients = {(g.total_genus(), g.external_labels()) for g, _ in e.items()}
+    if len(ambients) > 1:
+        raise AmbientMismatchError("mixed ambients %s" % sorted(ambients))
+    (_, labels), = ambients
+    return _fresh_labels(labels)
+
+
 def apply_r(e, l: int):
     """Linear extension of the operator to a FormalSum or SymbolicSum.
 
@@ -173,15 +187,10 @@ def apply_r(e, l: int):
     of external labels); the two new half-edges receive the two
     smallest unused positive labels.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if e.is_zero():
+    labels = _image_labels(e, l)
+    if labels is None:
         return type(e)()
-    ambients = {(g.total_genus(), g.external_labels()) for g, _ in e.items()}
-    if len(ambients) > 1:
-        raise AmbientMismatchError("mixed ambients %s" % sorted(ambients))
-    (_, labels), = ambients
-    i, j = _fresh_labels(labels)
+    i, j = labels
     out: list = []
     for graph, coeff in e.items():
         for surgery in (cut_edges, reduce_genus, split_vertices):

@@ -521,23 +521,8 @@ class RelationRegistry:
             for graph, coeff in terms:
                 graph = canonicalize(graph)
                 _refuse_psi_above_genus_one(graph)
-                comps = []
-                for comp in graph.component_graphs():
-                    labels = comp.external_labels()
-                    relab = {a: i + 1 for i, a in enumerate(labels)}
-                    comps.append((labels, canonicalize(comp.relabel(relab))))
-                # an empty expansion makes the term zero before any table can
-                # refuse; a memoised component has a nonempty one
-                if not all((c, allow_incomplete) in self._factors or psi_free_expansion(c)
-                           for _, c in comps):
-                    continue
-                factors = []
-                for labels, comp in comps:
-                    (g, k), coords = self._component_coords(comp, allow_incomplete)
-                    factors.append([((g, labels, k, b), x) for b, x in coords])
-                for combo in itertools.product(*factors):
-                    key = tuple(sorted(part for part, _ in combo))
-                    piece = coeff * math.prod(x for _, x in combo)
+                for key, x in self._term_coords(graph.normalised_components(), allow_incomplete):
+                    piece = coeff * x
                     out[key] = out[key] + piece if key in out else piece
         except InductiveDataMissing:  # equal sums refuse alike, whatever the order
             for term in sorted(terms, key=lambda t: sort_key(t[0])):
@@ -545,6 +530,24 @@ class RelationRegistry:
                     raise
                 self.normal_coords([term], allow_incomplete)
         return {k: c for k, c in out.items() if c}
+
+    def _term_coords(self, comps, allow_incomplete: bool):
+        """The (key, coefficient) pairs of one term, given as its
+        (labels, normalised component) pairs: the product of the
+        component coordinates.  An empty expansion makes the term zero
+        before any table can refuse; a memoised component has a
+        nonempty one."""
+        if not all((c, allow_incomplete) in self._factors or psi_free_expansion(c)
+                   for _, c in comps):
+            return []
+        factors = []
+        for labels, comp in comps:
+            (g, k), coords = self._component_coords(comp, allow_incomplete)
+            factors.append([((g, labels, k, b), x) for b, x in coords])
+        return [
+            (tuple(sorted(part for part, _ in combo)), math.prod(x for _, x in combo))
+            for combo in itertools.product(*factors)
+        ]
 
     def _component_coords(self, comp: DecoratedGraph, allow_incomplete: bool):
         """(genus, codimension) and the sorted (class index, coefficient)

@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tautrel.graphs import (
     DecoratedGraph,
     End,
     Leg,
     Vertex,
+    _relabelling_orbit,
     automorphism_count,
     canonicalize,
     dimension,
@@ -19,7 +21,7 @@ from tautrel.graphs import (
 )
 from tautrel.gwi import parse_graph
 
-from conftest import random_stable_graph
+from conftest import random_disconnected_graph, random_stable_graph
 
 EX = "<1 2 e0>_0 <3 4 e1>_0 <e0 e1>_1"
 
@@ -277,3 +279,29 @@ def test_symmetrize_fully_symmetric():
 def test_symmetrize_unknown_label():
     with pytest.raises(ValueError):
         symmetrize(parse_graph(EX), {1, 9})
+
+
+@given(st.integers(0, 10**6), st.booleans(), st.data())
+def test_relabelling_orbit_pairs_slots(seed, connected, data):
+    # the renaming read from two slot orders carries one graph to the other
+    rng = random.Random(seed)
+    g = random_stable_graph(rng) if connected else random_disconnected_graph(rng)
+    labels = g.external_labels()
+    perm = data.draw(st.permutations(labels))
+    rep, member = canonicalize(g), canonicalize(g.relabel(dict(zip(labels, perm))))
+    (key, rep_slots), (member_key, member_slots) = map(_relabelling_orbit, (rep, member))
+    assert key == member_key
+    sigma = dict(zip(rep_slots, member_slots))
+    assert canonicalize(rep.relabel(sigma)) == member
+
+
+def test_normalised_components_match_subgraphs():
+    rng = random.Random(5)
+    for _ in range(100):
+        g = random_disconnected_graph(rng)
+        expected = []
+        for vs in g.components():
+            sub = g.subgraph(vs)
+            labels = sub.external_labels()
+            expected.append((labels, canonicalize(sub.relabel({a: i + 1 for i, a in enumerate(labels)}))))
+        assert g.normalised_components() == expected

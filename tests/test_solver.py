@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from tautrel.graphs import symmetrize
-from tautrel.gwi import format_sum, parse_graph
+from tautrel.gwi import format_sum, parse_graph, parse_sum
+from tautrel.operators import apply_r
 from tautrel.relations import InductiveDataMissing, RelationRegistry
 from tautrel.solver import (
     LinearSystem,
+    _image_coords,
     check_invariance,
     enumerate_classes,
     filter_trivial,
@@ -18,7 +20,7 @@ from tautrel.solver import (
     operator_index_bound,
     solve_nullspace,
 )
-from tautrel.sums import FormalSum, LinForm
+from tautrel.sums import FormalSum, LinForm, SymbolicSum
 
 from conftest import orbit_index_map
 
@@ -298,3 +300,99 @@ def test_solver_outputs_golden():
         rb = registry.relation_basis(g, n, k, allow_incomplete=True)
         digest.update(("%s\n" % (rb.rref_rows,)).encode())
     assert digest.hexdigest() == "21aca064eabad67889262b2bf45ef1653080a21224be6e1201e1b9f02931d39c"
+
+
+# -- operator images lifted over relabelling classes ---------------------------
+
+
+def _outcome(call):
+    """The result of ``call``, or the text of its refusal."""
+    try:
+        return call()
+    except InductiveDataMissing as exc:
+        return "refused: %s" % exc
+
+
+def _image_cases():
+    """(name, e, lmax): symmetrized, unsymmetrized, partly symmetrized,
+    multi-unknown, rational and random sums."""
+    out = []
+    for g, n, k, dec in [(0, 6, 2, "psi"), (1, 4, 2, "none"), (1, 4, 2, "psi")]:
+        points = set(range(1, n + 1))
+        reps = enumerate_classes(g, n, k, decorations=dec, symmetrize_points=points)
+        full = enumerate_classes(g, n, k, decorations=dec)
+        bound = operator_index_bound(g, n, k)
+        name = "(%d,%d,%d) %s" % (g, n, k, dec)
+        out.append((name + " symmetrized", general_element([symmetrize(r, points) for r in reps]), bound))
+        out.append((name + " unsymmetrized", general_element(full), bound))
+        if (g, n, k, dec) == (1, 4, 2, "psi"):
+            out.append((name + " over {3,4}", general_element([symmetrize(r, {3, 4}) for r in full]), bound))
+    rng = random.Random(909)
+    full = enumerate_classes(1, 4, 2, decorations="psi")
+    two = SymbolicSum([
+        (graph, LinForm({rng.randint(1, 3): Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                         rng.randint(4, 6): Fraction(rng.randint(1, 4))}))
+        for graph in rng.sample(full, 30)
+    ])
+    out.append(("two-unknown forms", two, 2))
+    from tautrel.data_files import genus1_four_point_equation
+
+    out.append(("Getzler", genus1_four_point_equation(), 2))
+    for seed in range(3):
+        rng = random.Random(seed)
+        out.append(("random %d" % seed, FormalSum([
+            (graph, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            for graph in rng.sample(full, rng.randint(1, len(full)))
+        ]), 2))
+    return out
+
+
+def test_image_coords_match_whole_image():
+    registry = RelationRegistry()
+    for name, e, lmax in _image_cases():
+        for l in range(1, lmax + 1):
+            lifted = _outcome(lambda: _image_coords(e, l, registry))
+            whole = _outcome(lambda: registry.normal_coords(apply_r(e, l).items()))
+            assert lifted == whole, (name, l)
+
+
+def test_image_coords_refusals_match_whole_image():
+    # genus 1 with four points past codimension 1 lacks data, and so
+    # does genus 2, with or without psi on the genus-2 vertex
+    registry = RelationRegistry()
+    cases = [
+        (general_element(enumerate_classes(1, 5, 2)), 1),
+        (general_element(enumerate_classes(2, 2, 2)), 3),
+        (parse_sum("<1 e0 e1>_1 <2 3 e0 e1>_1"), 1),
+        (parse_sum("<1 2 3^1>_2 + <1 2 3 e0 e0>_1"), 2),
+    ]
+    for e, lmax in cases:
+        for l in range(1, lmax + 1):
+            lifted = _outcome(lambda: _image_coords(e, l, registry))
+            whole = _outcome(lambda: registry.normal_coords(apply_r(e, l).items()))
+            assert lifted == whole and lifted.startswith("refused"), (e, l)
+
+
+@pytest.mark.parametrize("g, n, k, message", [
+    (1, 5, 2, "(1, 4, 2): genus-1 factor with 4 points needs imported relations"),
+    (1, 5, 3, "(1, 4, 3): genus-1 factor with 4 points needs imported relations"),
+    (2, 2, 2, "(1, 4, 2): genus-1 factor with 4 points needs imported relations"),
+])
+def test_find_refusal_text(g, n, k, message):
+    with pytest.raises(InductiveDataMissing) as exc:
+        find_equations(g, n, k, RelationRegistry())
+    assert str(exc.value) == "inductive data missing for (g,n,k)=" + message
+
+
+def test_check_invariance_refusal_text():
+    g = parse_graph("<1 e0 e1>_1 <2 3 e0 e1>_1")
+    with pytest.raises(InductiveDataMissing) as exc:
+        check_invariance(FormalSum.single(g), range(1, 2), RelationRegistry())
+    assert str(exc.value) == "inductive data missing for (g,n,k)=(2, 4, 2): genus >= 2 factor"
+
+
+def test_find_072_golden():
+    # the symmetrized (0,7,2) report: 4 orbits, rank 4, nullspace 0
+    report = find_equations(0, 7, 2, RelationRegistry())
+    digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+    assert digest == "f49ff0cb8cca8a5be4b74b1dfcf7dc4fcce3bcdc778a90189308c7f0572b606d"
