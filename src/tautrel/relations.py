@@ -23,6 +23,15 @@ basis element) tuples.  Each component is relabelled
 order-preservingly to 1..m, which keeps every choice the psi rewrites
 make, and its expansion is reduced once per such class and memoised.
 
+``RelationRegistry.normal_coords`` is the one coordinate engine.  It
+reduces the image of a sum under a map that commutes with renaming
+labels (the identity, or an operator r_l): the terms fall into
+relabelling classes, the map runs on the first term of each, and every
+member renames that image's components by the permutation its renaming
+induces on their labels.  A refusal reduces the merged image term by
+term in sort_key order: the first term lacking data refuses, whatever
+the input order, and a lacking term that cancels in the merge does not.
+
 Supported inductive range: genus-0 factors of any size, genus-1
 factors generated completely for at most three special points.  A
 genus-1 factor with four or more points in codimension >= 2 needs
@@ -49,6 +58,7 @@ from .graphs import (
     Leg,
     Vertex,
     _kappa_splits,
+    _relabelling_orbit,
     _rewire,
     _slots_at,
     automorphism_count,
@@ -58,7 +68,7 @@ from .graphs import (
     sort_key,
 )
 from .strata import enumerate_classes
-from .sums import FormalSum, SymbolicSum
+from .sums import FormalSum, SymbolicSum, _GraphSum
 
 
 class InductiveDataMissing(RuntimeError):
@@ -509,45 +519,72 @@ class RelationRegistry:
 
     # -- normal forms ------------------------------------------------------
 
-    def normal_coords(self, terms, allow_incomplete: bool = False):
-        """Generic engine: terms are (graph, coefficient), iterable in
-        any order and more than once, with any coefficient supporting
-        addition and Fraction scaling.  Each connected component
-        reduces on its own, relabelled order-preservingly to 1..m, and
-        the coordinates multiply.  A refusal names the first term in
-        sort_key order, and its first component, that lacks data."""
-        out: dict = {}
-        try:
-            for graph, coeff in terms:
-                graph = canonicalize(graph)
-                _refuse_psi_above_genus_one(graph)
-                for key, x in self._term_coords(graph.normalised_components(), allow_incomplete):
-                    piece = coeff * x
-                    out[key] = out[key] + piece if key in out else piece
-        except InductiveDataMissing:  # equal sums refuse alike, whatever the order
-            for term in sorted(terms, key=lambda t: sort_key(t[0])):
-                if sort_key(term[0]) >= sort_key(graph):
-                    raise
-                self.normal_coords([term], allow_incomplete)
-        return {k: c for k, c in out.items() if c}
+    def normal_coords(self, terms, allow_incomplete: bool = False, image=None):
+        """The coordinates of the image of a sum, by default of the sum
+        itself (the engine the module docstring describes).  ``terms``
+        are (graph, coefficient) pairs in any order, with any
+        coefficient supporting addition and Fraction scaling;
+        ``image(graph)`` gives (graph, Fraction) pairs and must commute
+        with renaming external labels, fixing every label it adds."""
+        classes: dict = {}
+        for graph, coeff in terms:
+            key, slots = _relabelling_orbit(graph)
+            classes.setdefault(key, []).append((graph, slots, coeff))
+        renamed: dict = {}  # (normalised component, permutation) -> normalised component
 
-    def _term_coords(self, comps, allow_incomplete: bool):
-        """The (key, coefficient) pairs of one term, given as its
-        (labels, normalised component) pairs: the product of the
-        component coordinates.  An empty expansion makes the term zero
-        before any table can refuse; a memoised component has a
-        nonempty one."""
-        if not all((c, allow_incomplete) in self._factors or psi_free_expansion(c)
-                   for _, c in comps):
-            return []
-        factors = []
-        for labels, comp in comps:
-            (g, k), coords = self._component_coords(comp, allow_incomplete)
-            factors.append([((g, labels, k, b), x) for b, x in coords])
-        return [
-            (tuple(sorted(part for part, _ in combo)), math.prod(x for _, x in combo))
-            for combo in itertools.product(*factors)
-        ]
+        def lift(labels, comp, sigma):
+            new = [sigma.get(a, a) for a in labels]
+            ordered = tuple(sorted(new))
+            if new != list(ordered):
+                rank = {b: r for r, b in enumerate(ordered, 1)}
+                tau = tuple(rank[b] for b in new)
+                if (comp, tau) not in renamed:
+                    renamed[comp, tau] = canonicalize(comp.relabel(dict(enumerate(tau, 1))))
+                comp = renamed[comp, tau]
+            return ordered, comp
+
+        image_of = image or (lambda graph: ((graph, Fraction(1)),))
+        vectors: dict = {}  # coefficient -> summed rational coordinates of its members
+        try:
+            for members in classes.values():
+                rep, rep_slots, _ = members[0]
+                split = []
+                for term, c in image_of(rep):
+                    term = canonicalize(term)
+                    _refuse_psi_above_genus_one(term)
+                    split.append((term.normalised_components(), c))
+                for _, slots, coeff in members:
+                    sigma = dict(zip(rep_slots, slots))
+                    vec = vectors.setdefault(coeff, {})
+                    for comps, c in split:
+                        lifted = [lift(labels, comp, sigma) for labels, comp in comps]
+                        memo = [self._factors.get((comp, allow_incomplete)) for _, comp in lifted]
+                        # an empty expansion makes the term zero before any
+                        # table can refuse; a memoised component has a nonempty one
+                        if not all(m or psi_free_expansion(comp) for m, (_, comp) in zip(memo, lifted)):
+                            continue
+                        factors = []
+                        for m, (labels, comp) in zip(memo, lifted):
+                            (g, k), coords = m or self._component_coords(comp, allow_incomplete)
+                            factors.append([((g, labels, k, b), x) for b, x in coords])
+                        for combo in itertools.product(*factors):
+                            key = tuple(sorted(part for part, _ in combo))
+                            vec[key] = vec.get(key, 0) + c * math.prod(x for _, x in combo)
+        except InductiveDataMissing:  # equal images refuse alike, whatever the order
+            members = [(graph, coeff) for ms in classes.values() for graph, _, coeff in ms]
+            if image is None and len(members) == 1:
+                raise
+            whole = _GraphSum((t, coeff * c) for graph, coeff in members for t, c in image_of(graph))
+            vectors = {}
+            for graph, coeff in whole.terms():
+                vec = vectors.setdefault(coeff, {})
+                for key, x in self.normal_coords([(graph, Fraction(1))], allow_incomplete).items():
+                    vec[key] = vec.get(key, 0) + x
+        out: dict = {}
+        for coeff, vec in vectors.items():
+            for key, x in vec.items():
+                out[key] = out[key] + coeff * x if key in out else coeff * x
+        return {k: c for k, c in out.items() if c}
 
     def _component_coords(self, comp: DecoratedGraph, allow_incomplete: bool):
         """(genus, codimension) and the sorted (class index, coefficient)
@@ -571,9 +608,7 @@ class RelationRegistry:
         return NormalForm(self.normal_coords(e.items(), allow_incomplete), self)
 
     def is_zero_modulo(self, e, allow_incomplete: bool = False) -> bool:
-        if isinstance(e, SymbolicSum):
-            return not self.normal_coords(e.items(), allow_incomplete)
-        return self.normal_form(e, allow_incomplete).is_zero()
+        return not self.normal_coords(e.items(), allow_incomplete)
 
     def _basis_graph(self, part) -> DecoratedGraph:
         g, labels, k, idx = part

@@ -8,9 +8,9 @@ solve the resulting exact system, and split the nullspace into the
 part that reduces to zero against the known relations (combinations
 of inductive data) and genuinely new equation candidates.
 
-Each operator runs once per relabelling class of terms; the images of
-the other members are lifted in normal coordinates, exactly, because
-relabelling commutes with the operators (see invariance_system).
+Each operator runs once per relabelling class of terms; the registry's
+coordinate engine lifts that image to the other members, exactly,
+because relabelling commutes with the operators (see invariance_system).
 """
 
 from __future__ import annotations
@@ -19,14 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .echelon import Echelon
-from .graphs import DecoratedGraph, _relabelling_orbit, canonicalize, symmetrize
+from .graphs import DecoratedGraph, symmetrize
 from .operators import _image_labels, apply_r
-from .relations import (
-    InductiveDataMissing,
-    NormalForm,
-    RelationRegistry,
-    _refuse_psi_above_genus_one,
-)
+from .relations import NormalForm, RelationRegistry
 from .strata import enumerate_classes
 from .sums import FormalSum, LinForm, SymbolicSum
 
@@ -112,12 +107,12 @@ def invariance_system(
     """Impose that every operator in ``l_range`` annihilates E modulo
     the known relations of each target ambient.
 
-    r_l runs once per relabelling class of terms of E.  The image of a
-    member sigma G of the class of G is sigma r_l(G), as sigma fixes
-    the two new labels (the smallest outside the labels of E), so its
-    normal coordinates are those of r_l(G) with each component renamed
-    by sigma: the same rational sums as reducing the whole image, from
-    no graph of it.
+    ``registry.normal_coords`` runs r_l once per relabelling class of
+    terms of E.  The image of a member sigma G of the class of G is
+    sigma r_l(G), as sigma fixes the two new labels (the smallest
+    outside the labels of E), so the engine renames the components of
+    r_l(G) by sigma: the same rational sums as reducing the whole
+    image, from no graph of it.
     """
     unknowns = E.unknowns()
     system = LinearSystem(max(unknowns, default=0))
@@ -130,57 +125,11 @@ def invariance_system(
 
 
 def _image_coords(e, l: int, registry: RelationRegistry) -> dict:
-    """The normal coordinates of r_l(e), equal to those of
-    ``registry.normal_coords(apply_r(e, l).items())``.
-
-    Each image term of a class's first term is split once; a member
-    renames each component by the permutation sigma induces on its
-    labels.  Members with equal coefficients share one rational
-    vector.  A refusal falls back to the whole image, which raises it
-    again unless it came from a term that cancels there.
-    """
+    """The normal coordinates of r_l(e), with r_l run once per
+    relabelling class of terms of e (see invariance_system)."""
     if _image_labels(e, l) is None:  # refuses what apply_r refuses
         return {}
-    classes: dict = {}
-    for graph, coeff in e.items():
-        key, slots = _relabelling_orbit(graph)
-        classes.setdefault(key, []).append((graph, slots, coeff))
-    renamed: dict = {}  # (normalised component, permutation) -> normalised component
-
-    def lift(labels, comp, sigma):
-        new = [sigma.get(a, a) for a in labels]
-        ordered = tuple(sorted(new))
-        if new != list(ordered):
-            rank = {b: r for r, b in enumerate(ordered, 1)}
-            tau = tuple(rank[b] for b in new)
-            if (comp, tau) not in renamed:
-                renamed[comp, tau] = canonicalize(comp.relabel(dict(enumerate(tau, 1))))
-            comp = renamed[comp, tau]
-        return ordered, comp
-
-    vectors: dict = {}  # coefficient -> summed rational coordinates of its terms
-    try:
-        for members in classes.values():
-            rep, rep_slots, _ = members[0]
-            image = []
-            for term, c in apply_r(FormalSum.single(rep), l).items():
-                _refuse_psi_above_genus_one(term)
-                image.append((term.normalised_components(), c))
-            for _, slots, coeff in members:
-                sigma = dict(zip(rep_slots, slots))
-                vec = vectors.setdefault(coeff, {})
-                for comps, c in image:
-                    lifted = [lift(labels, comp, sigma) for labels, comp in comps]
-                    for key, x in registry._term_coords(lifted, False):
-                        vec[key] = vec.get(key, 0) + c * x
-    except InductiveDataMissing:
-        return registry.normal_coords(apply_r(e, l).items())
-    out: dict = {}
-    for coeff, vec in vectors.items():
-        for key, x in vec.items():
-            if x:
-                out[key] = out[key] + coeff * x if key in out else coeff * x
-    return {k: c for k, c in out.items() if c}
+    return registry.normal_coords(e.items(), image=lambda g: apply_r(FormalSum.single(g), l).items())
 
 
 def solve_nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:

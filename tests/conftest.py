@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,9 +14,15 @@ from tautrel.graphs import (
     canonicalize,
     disjoint_union,
     is_valid,
+    sort_key,
 )
 from tautrel.gwi import parse_graph
-from tautrel.relations import RelationRegistry
+from tautrel.relations import (
+    InductiveDataMissing,
+    RelationRegistry,
+    _refuse_psi_above_genus_one,
+    psi_free_expansion,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +166,51 @@ def _apply_split(g, v, g1, g2, k1, k2, side_of, new_legs):
                 ends.append(end)
         edges.append(tuple(ends))
     return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
+
+
+# Reference normal coordinates, the per-term engine that lifting over
+# relabelling classes replaced; the solver and relations tests check
+# RelationRegistry.normal_coords against it.
+def reference_normal_coords(registry, terms, allow_incomplete=False):
+    """Generic engine: terms are (graph, coefficient), iterable in
+    any order and more than once, with any coefficient supporting
+    addition and Fraction scaling.  Each connected component
+    reduces on its own, relabelled order-preservingly to 1..m, and
+    the coordinates multiply.  A refusal names the first term in
+    sort_key order, and its first component, that lacks data."""
+    out: dict = {}
+    try:
+        for graph, coeff in terms:
+            graph = canonicalize(graph)
+            _refuse_psi_above_genus_one(graph)
+            for key, x in _reference_term_coords(registry, graph.normalised_components(), allow_incomplete):
+                piece = coeff * x
+                out[key] = out[key] + piece if key in out else piece
+    except InductiveDataMissing:  # equal sums refuse alike, whatever the order
+        for term in sorted(terms, key=lambda t: sort_key(t[0])):
+            if sort_key(term[0]) >= sort_key(graph):
+                raise
+            reference_normal_coords(registry, [term], allow_incomplete)
+    return {k: c for k, c in out.items() if c}
+
+
+def _reference_term_coords(registry, comps, allow_incomplete: bool):
+    """The (key, coefficient) pairs of one term, given as its
+    (labels, normalised component) pairs: the product of the
+    component coordinates.  An empty expansion makes the term zero
+    before any table can refuse; a memoised component has a
+    nonempty one."""
+    if not all((c, allow_incomplete) in registry._factors or psi_free_expansion(c)
+               for _, c in comps):
+        return []
+    factors = []
+    for labels, comp in comps:
+        (g, k), coords = registry._component_coords(comp, allow_incomplete)
+        factors.append([((g, labels, k, b), x) for b, x in coords])
+    return [
+        (tuple(sorted(part for part, _ in combo)), math.prod(x for _, x in combo))
+        for combo in itertools.product(*factors)
+    ]
 
 
 # Reference exact RREF, the from-scratch elimination the Echelon type

@@ -209,6 +209,24 @@ def test_forgetful_pullback_stays_invariant(registry):
     assert reports[1].is_zero()
 
 
+def test_known_relations_are_invariant():
+    # invariance oracle: every r_l maps a generated relation, and the
+    # pullback of one, to zero modulo the relations of a fresh registry
+    from tautrel.solver import check_invariance, operator_index_bound
+
+    source, fresh = RelationRegistry(), RelationRegistry()
+    cases = [
+        ((g, n, k), rel)
+        for g, n, k in [(0, 5, 1), (0, 6, 1), (0, 6, 2), (1, 3, 2)]
+        for rel in source.relations(g, n, k)
+    ]
+    cases += [((0, 6, 1), induce_by_forgetful(rel)) for rel in source.relations(0, 5, 1)]
+    assert len(cases) == 10 + 30 + 190 + 7 + 10
+    for ambient, rel in cases:
+        reports = check_invariance(rel, range(1, operator_index_bound(*ambient) + 1), fresh)
+        assert reports and all(nf.is_zero() for nf in reports.values()), (ambient, rel)
+
+
 def test_forgetful_pullback_kappa_correction(registry):
     # kappa_1 on the one-point genus-1 vertex: kappa_a -> kappa_a - psi^a
     rel = FormalSum.single(parse_graph("<1>_1[k1]"))

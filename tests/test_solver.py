@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from tautrel import solver
 from tautrel.graphs import symmetrize
 from tautrel.gwi import format_sum, parse_graph, parse_sum
 from tautrel.operators import apply_r
@@ -22,7 +25,7 @@ from tautrel.solver import (
 )
 from tautrel.sums import FormalSum, LinForm, SymbolicSum
 
-from conftest import orbit_index_map
+from conftest import orbit_index_map, random_disconnected_graph, reference_normal_coords
 
 
 # -- enumeration -------------------------------------------------------------
@@ -352,7 +355,7 @@ def test_image_coords_match_whole_image():
     for name, e, lmax in _image_cases():
         for l in range(1, lmax + 1):
             lifted = _outcome(lambda: _image_coords(e, l, registry))
-            whole = _outcome(lambda: registry.normal_coords(apply_r(e, l).items()))
+            whole = _outcome(lambda: reference_normal_coords(registry, apply_r(e, l).items()))
             assert lifted == whole, (name, l)
 
 
@@ -369,8 +372,46 @@ def test_image_coords_refusals_match_whole_image():
     for e, lmax in cases:
         for l in range(1, lmax + 1):
             lifted = _outcome(lambda: _image_coords(e, l, registry))
-            whole = _outcome(lambda: registry.normal_coords(apply_r(e, l).items()))
+            whole = _outcome(lambda: reference_normal_coords(registry, apply_r(e, l).items()))
             assert lifted == whole and lifted.startswith("refused"), (e, l)
+
+
+def test_normal_coords_match_reference():
+    # the identity image, lifted over relabelling classes, against the
+    # per-term reference, in both term orders; the random sums hold a
+    # few relabellings of one disconnected graph, about half lacking data
+    registry = RelationRegistry()
+    sums = [e for _, e, _ in _image_cases()]
+    rng = random.Random(1010)
+    for _ in range(100):
+        graph = random_disconnected_graph(rng, max_genus=rng.choice([0, 1, 2]))
+        labels = sorted(graph.external_labels())
+        sums.append(FormalSum([
+            (graph.relabel(dict(zip(labels, rng.sample(labels, len(labels))))),
+             Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]))
+    for e in sums:
+        items = list(e.items())
+        for allow in (False, True):
+            expected = _outcome(lambda: reference_normal_coords(registry, items, allow))
+            for order in (items, items[::-1]):
+                assert _outcome(lambda: registry.normal_coords(order, allow)) == expected, (e, allow)
+    # a lacking term that cancels in the merge refuses nothing
+    lacking, kept = parse_graph("<1 2 3^1>_2"), parse_graph("<1 2 3 e0 e0>_0")
+    assert _outcome(lambda: registry.normal_coords([(lacking, 1)])).startswith("refused")
+    terms = [(lacking, Fraction(1)), (kept, Fraction(2)), (lacking, Fraction(-1))]
+    assert registry.normal_coords(terms) == registry.normal_coords([(kept, Fraction(2))]) != {}
+
+
+def test_solver_uses_no_private_relations_or_graphs_name():
+    # the coordinate-key format and the refusal rule stay behind relations
+    tree = ast.parse(Path(solver.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] in ("relations", "graphs"):
+            assert not [a.name for a in node.names if a.name.startswith("_")], node.module
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "registry":
+            assert not node.attr.startswith("_"), node.attr
 
 
 @pytest.mark.parametrize("g, n, k, message", [
