@@ -119,10 +119,7 @@ def cmd_find(args) -> int:
 
 def _load_sum(path: str):
     # the lines of the file are the terms of one sum
-    try:
-        _, sums = read_file(Path(path))
-    except OSError as exc:
-        raise ValueError(exc) from exc
+    _, sums = read_file(Path(path))
     if not sums:
         raise GwiParseError("%s: no sum in the file" % path)
     fs = sum(sums, FormalSum())
@@ -186,8 +183,8 @@ def main(argv=None) -> int:
             return cmd_check(args)
         if args.command == "reduce":
             return cmd_reduce(args)
-    except ValueError as exc:
-        # unreadable or malformed input, a registry file included
+    except (ValueError, OSError) as exc:
+        # unreadable, unwritable or malformed input, a registry file included
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     except InductiveDataMissing as exc:

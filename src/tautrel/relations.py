@@ -338,12 +338,12 @@ class _Table:
     relation rows, whose columns are class indices.  The basis is the
     classes at the columns that are not pivots."""
 
-    def __init__(self, ambient, classes, echelon: Echelon):
+    def __init__(self, ambient, classes):
         self.ambient = ambient
         self.classes = classes
         self.incomplete = False
         self.index = {g: i for i, g in enumerate(classes)}
-        self.echelon = echelon
+        self.echelon = Echelon()
 
 
 class NormalForm:
@@ -492,10 +492,9 @@ class RelationRegistry:
         if table is None:
             if g >= 2:
                 raise InductiveDataMissing(key, "genus >= 2 factor")
-            classes = tuple(enumerate_classes(g, m, k, decorations="none"))
-            index = {c: i for i, c in enumerate(classes)}
-            rows = (self._relation_row(rel, index, key) for rel in self.relations(g, m, k))
-            table = _Table(key, classes, Echelon(rows))
+            table = _Table(key, tuple(enumerate_classes(g, m, k, decorations="none")))
+            for rel in self.relations(g, m, k):
+                table.echelon.add(_expansion_row(rel.terms(), table.index, key))
             table.incomplete = (
                 g == 1 and m >= 4 and k >= 2 and not self.imported_relations(g, m, k)
             )
@@ -505,17 +504,6 @@ class RelationRegistry:
                 key, "genus-1 factor with %d points needs imported relations" % m
             )
         return table
-
-    def _relation_row(self, rel: FormalSum, index, ambient):
-        row: dict[int, Fraction] = {}
-        for term, coeff in rel.terms():
-            for graph, frac in psi_free_expansion(term):
-                if graph not in index:
-                    raise InductiveDataMissing(
-                        ambient, "relation term outside the ambient: %s" % (graph,)
-                    )
-                row[index[graph]] = row.get(index[graph], Fraction(0)) + coeff * frac
-        return {c: x for c, x in row.items() if x}
 
     # -- normal forms ------------------------------------------------------
 
@@ -594,11 +582,7 @@ class RelationRegistry:
         if key not in self._factors:
             amb = (comp.total_genus(), len(comp.legs), comp.codimension())
             table = self._table(*amb, allow_incomplete=allow_incomplete)
-            row: dict[int, Fraction] = {}
-            for flat, frac in psi_free_expansion(comp):
-                if flat not in table.index:
-                    raise InductiveDataMissing(amb, "class outside the generated ambient (kappa?)")
-                row[table.index[flat]] = row.get(table.index[flat], Fraction(0)) + frac
+            row = _expansion_row(((comp, 1),), table.index, amb)
             self._factors[key] = ((amb[0], amb[2]), sorted(table.echelon.reduce(row).items()))
         return self._factors[key]
 
@@ -647,6 +631,18 @@ class RelationRegistry:
             basis=tuple(c for i, c in enumerate(table.classes) if i not in pivots),
             rref_rows=tuple(tuple(sorted(row.items())) for _, row in rows),
         )
+
+
+def _expansion_row(terms, index, ambient) -> dict:
+    """The psi-free expansions of the (graph, coefficient) ``terms`` as
+    one row over the classes ``index`` numbers; refuses a class outside."""
+    row: dict = {}
+    for term, coeff in terms:
+        for flat, frac in psi_free_expansion(term):
+            if flat not in index:
+                raise InductiveDataMissing(ambient, "class outside the ambient: %s" % (flat,))
+            row[index[flat]] = row.get(index[flat], 0) + coeff * frac
+    return row
 
 
 def _generate_wdvv(g: int, n: int, k: int) -> list[FormalSum]:

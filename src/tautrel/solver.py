@@ -1,12 +1,12 @@
 """Discovery pipeline for tautological equations.
 
 Given an ambient (g, n, k): enumerate the decorated classes, form the
-general element with one unknown per class, impose vanishing of the
-dimension-lowering operators for every l up to 3g-3+n-k (each basis
-coordinate of each target ambient contributes one linear condition),
-solve the resulting exact system, and split the nullspace into the
-part that reduces to zero against the known relations (combinations
-of inductive data) and genuinely new equation candidates.
+general element with one unknown per class (per S_n-orbit of classes
+when symmetrized), impose vanishing of the dimension-lowering operators
+for every l up to 3g-3+n-k (each basis coordinate of each target
+ambient contributes one linear condition), solve the exact system, and
+split the nullspace into the part that reduces to zero against the
+known relations (combinations of inductive data) and new candidates.
 
 Each operator runs once per relabelling class of terms; the registry's
 coordinate engine lifts that image to the other members, exactly,
@@ -15,14 +15,15 @@ because relabelling commutes with the operators (see invariance_system).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .echelon import Echelon
-from .graphs import DecoratedGraph, symmetrize
+from .graphs import DecoratedGraph
 from .operators import _image_labels, apply_r
 from .relations import NormalForm, RelationRegistry
-from .strata import enumerate_classes
+from .strata import enumerate_classes, orbits
 from .sums import FormalSum, LinForm, SymbolicSum
 
 __all__ = [
@@ -225,15 +226,13 @@ def _normalize_vector(vec) -> tuple[Fraction, ...]:
     nz = [x for x in vec if x]
     if not nz:
         return tuple(vec)
-    from math import gcd
-
     denom = 1
     for x in nz:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+        denom = denom * x.denominator // math.gcd(denom, x.denominator)
     ints = [x * denom for x in vec]
     g = 0
     for x in ints:
-        g = gcd(g, int(x))
+        g = math.gcd(g, int(x))
     sign = 1 if next(x for x in ints if x) > 0 else -1
     return tuple(Fraction(int(x) * sign, g) for x in ints)
 
@@ -289,11 +288,11 @@ def find_equations(
     dim = 3 * g - 3 + n
     if k < 0 or k > dim:
         raise ValueError("codimension %d out of range for (%d,%d)" % (k, g, n))
-    points = set(range(1, n + 1)) if symmetrized else None
-    reps = enumerate_classes(g, n, k, decorations=decorations, symmetrize_points=points)
-    classes = [
-        symmetrize(r, points) if points else FormalSum.single(r) for r in reps
-    ]
+    found = enumerate_classes(g, n, k, decorations=decorations)
+    # symmetrize(r, 1..n) holds each member of the orbit of r n!/|orbit| times
+    groups = orbits(found, range(1, n + 1)) if symmetrized else [[c] for c in found]
+    weight = math.factorial(n) if symmetrized else 1
+    classes = [FormalSum([(m, Fraction(weight, len(o))) for m in o]) for o in groups]
     E = general_element(classes)
     bound = operator_index_bound(g, n, k)
     L = bound if lmax is None else lmax

@@ -126,10 +126,9 @@ def enumerate_classes(
     """All decorated classes of codimension k on the connected ambient.
 
     ``decorations``: 'none' (boundary strata only), 'psi', or
-    'psi_kappa'.  With ``symmetrize_points`` the list keeps the member
-    with the smallest ``sort_key`` of each orbit under permutations of
-    those labels.  The orbit key is the canonical form after all those
-    legs take the smallest of their labels, making them interchangeable.
+    'psi_kappa'.  The classes come in ``sort_key`` order; with
+    ``symmetrize_points`` only the first member of each of their
+    :func:`orbits` under permutations of those labels is kept.
     """
     if decorations not in ("none", "psi", "psi_kappa"):
         raise ValueError("unknown decoration mode %r" % decorations)
@@ -150,10 +149,19 @@ def enumerate_classes(
                     found.add(canonicalize(dec))
     found = sorted(found, key=sort_key)
     if symmetrize_points:
-        pts = sorted(symmetrize_points)
-        merged = dict.fromkeys(pts, pts[0])
-        orbits = {}
-        for graph in found:  # sort_key order: each orbit keeps its smallest
-            orbits.setdefault(canonicalize(graph.relabel(merged)), graph)
-        found = list(orbits.values())
+        found = [orbit[0] for orbit in orbits(found, symmetrize_points)]
     return found
+
+
+def orbits(classes, points) -> list[list[DecoratedGraph]]:
+    """The orbits of ``classes`` under permuting the labels ``points``,
+    in input order, keyed by the canonical form with those labels merged."""
+    pts = sorted(points)
+    merged = {p: pts[0] for p in pts}
+    out: dict = {}
+    for graph in classes:
+        missing = sorted(set(pts) - set(graph.external_labels()))
+        if missing:
+            raise ValueError("unknown external labels %s" % missing)
+        out.setdefault(canonicalize(graph.relabel(merged)), []).append(graph)
+    return list(out.values())

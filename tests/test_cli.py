@@ -50,6 +50,17 @@ def test_enumerate_invalid_exit_2(capsys):
     assert "error" in err
 
 
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run(capsys, "find", "-g", "0", "-n", "4", "-k", "1", "--out", str(taken))
+    assert code == 2
+    assert err.startswith("error: ")
+    code, _, err = run(capsys, "enumerate", "-g", "0", "-n", "4", "-k", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_find_recovers_golden_equation(tmp_path, capsys):
     code, out, _ = run(
         capsys, "find", "-g", "1", "-n", "4", "-k", "2",

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,6 +250,28 @@ def test_find_top_codimension_is_inductive():
 def test_find_genus_zero_no_new_equations():
     report = find_equations(0, 5, 1, RelationRegistry(), decorations="psi")
     assert all(c.trivial for c in report.candidates)
+
+
+def test_symmetrized_find_never_calls_symmetrize(monkeypatch):
+    # the symmetrized classes come from the enumeration's orbit partition
+    def boom(*args):
+        raise AssertionError("symmetrize called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tautrel") and hasattr(module, "symmetrize"):
+            monkeypatch.setattr(module, "symmetrize", boom)
+    report = find_equations(1, 4, 2, RelationRegistry(), decorations="psi")
+    reps = enumerate_classes(1, 4, 2, decorations="psi", symmetrize_points={1, 2, 3, 4})
+    assert len(report.classes) == len(reps)
+    assert [c.terms()[0][0] for c in report.classes] == reps
+
+
+def test_find_without_points_symmetrized_or_not():
+    # n = 0: every orbit is one class of weight 1
+    a = find_equations(2, 0, 3, RelationRegistry(), symmetrized=True)
+    b = find_equations(2, 0, 3, RelationRegistry(), symmetrized=False)
+    assert a.classes == b.classes != []
+    assert all(len(c) == 1 and c.terms()[0][1] == 1 for c in a.classes)
 
 
 # -- invariance checking ------------------------------------------------------

@@ -1,16 +1,19 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tautrel.graphs import DecoratedGraph, End, Leg, Vertex, canonicalize, sort_key, symmetrize
 from tautrel.gwi import format_graph
-from tautrel.strata import _one_edge_degenerations, enumerate_classes
+from tautrel.strata import _one_edge_degenerations, enumerate_classes, orbits
+from tautrel.sums import FormalSum
 
 from conftest import _apply_split, random_stable_graph, small_strata
 
@@ -66,6 +69,26 @@ def test_orbits_partition_the_classes(g, n, k, decorations, pts):
         assert not support & covered, format_graph(rep)
         covered |= support
     assert covered == full
+
+
+@pytest.mark.parametrize("g,n,k,decorations,pts", ORBIT_CASES)
+def test_weighted_orbits_equal_symmetrize(g, n, k, decorations, pts):
+    # orbit-stabiliser: each member is |pts|!/|orbit| of the relabellings
+    full = enumerate_classes(g, n, k, decorations=decorations)
+    groups = orbits(full, pts)
+    weight = math.factorial(len(pts))
+    assert [o[0] for o in groups] == enumerate_classes(g, n, k, decorations=decorations, symmetrize_points=pts)
+    for orbit in groups:
+        assert [sort_key(m) for m in orbit] == sorted(sort_key(m) for m in orbit)
+        weighted = FormalSum([(m, Fraction(weight, len(orbit))) for m in orbit])
+        assert weighted == symmetrize(orbit[0], pts), format_graph(orbit[0])
+
+
+def test_unknown_symmetrize_points_refused():
+    with pytest.raises(ValueError, match=r"unknown external labels \[9\]"):
+        enumerate_classes(0, 5, 1, symmetrize_points={1, 9})
+    with pytest.raises(ValueError, match=r"unknown external labels \[6, 7\]"):
+        orbits(enumerate_classes(0, 5, 2, decorations="psi"), (7, 2, 6))
 
 
 def _split_with_edge(g, v, g1, g2, side_of):
