@@ -12,7 +12,8 @@ Two mechanisms cooperate:
 * exact linear algebra over the psi-free boundary strata of each
   ambient, modulo the span of the four-point relations
   D(a,b | c,d) = D(a,c | b,d) of genus-0 vertices and all their
-  derivatives (hosts ranging over the strata of the ambient).
+  derivatives (hosts ranging over the strata of the ambient); a
+  registry directory keeps each ambient's echelon for later processes.
 
 Both boundary expressions come from one splitting kernel.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -390,11 +392,20 @@ class RelationRegistry:
 
     ``root`` (or the TAUT_REGISTRY_DIR environment variable) points at
     a directory of gwi files named g<g>n<n>k<k>.gwi.  Files found
-    there are loaded and merged with the generated relations; files
-    for ambients the generator can complete are written on first use.
-    A header line "# convention: automorphism-weighted" makes the
-    loader divide each coefficient by the automorphism count of its
-    graph; the native convention is "glued-half-edges".
+    there are loaded and merged with the generated relations; an
+    ambient without a file gets one holding its generated relations on
+    first use, whether or not they are complete.  A header line
+    "# convention: automorphism-weighted" makes the loader divide each
+    coefficient by the automorphism count of its graph; the native
+    convention is "glued-half-edges".
+
+    Each connected ambient's table (classes, relation echelon and
+    the incomplete flag) is also kept in tables/g<g>n<n>k<k>.json,
+    stamped with a CRC of its gwi file chained onto one of this
+    package's sources, and a later registry loads it instead of
+    rebuilding.  A table file that does not parse, has the wrong shape
+    or a stale stamp, or breaks an echelon invariant is a miss: the
+    table is rebuilt and rewritten.  Writes are best-effort.
 
     Tables and relation lists are cached per ambient; generation is a
     pure function of the ambient, so concurrent reads are safe and a
@@ -435,8 +446,8 @@ class RelationRegistry:
         self.relations(g, n, k)
         return self._extra[(g, n, k)]
 
-    def _path(self, g, n, k) -> Path:
-        return self.root / ("g%dn%dk%d.gwi" % (g, n, k))
+    def _path(self, g, n, k, folder="", suffix="gwi") -> Path:
+        return self.root / folder / ("g%dn%dk%d.%s" % (g, n, k, suffix))
 
     def _load_file(self, g, n, k):
         if self.root is None:
@@ -463,15 +474,57 @@ class RelationRegistry:
         self.root.mkdir(parents=True, exist_ok=True)
         lines = ["# convention: glued-half-edges", "# provenance: generated"]
         lines += [format_sum(r) for r in rels]
-        # write beside the target and rename over it, so a crash or a
-        # concurrent writer never leaves a truncated file to be loaded
-        path = self._path(g, n, k)
-        tmp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
+        _write_atomic(self._path(g, n, k), "\n".join(lines) + "\n")
+
+    # -- table files -------------------------------------------------------
+
+    def _stamp(self, key):
+        """The CRC of the ambient's gwi file chained onto the sources'
+        CRC; None without a root, the sources or a readable file."""
+        if self.root is None:
+            return None
         try:
-            tmp.write_text("\n".join(lines) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+            digest = _source_digest()
+            return None if digest is None else zlib.crc32(self._path(*key).read_bytes(), digest)
+        except OSError:
+            return None
+
+    def _load_table(self, key, stamp):
+        """The table stored under ``stamp``, or None on any miss: the
+        file is the registry's own cache, so nothing in it is an error."""
+        import json
+
+        try:
+            data = json.loads(self._path(*key, "tables", "json").read_text())
+            if data["stamp"] != stamp:
+                return None
+            # DecoratedGraph rebuilds its Vertex, Leg and End values from lists
+            table = _Table(key, tuple(DecoratedGraph(*fields) for fields in data["classes"]))
+            table.incomplete = data["incomplete"]
+            rows = {p: {c: Fraction(x) for c, x in row} for p, row in data["rows"]}
+            table.echelon = Echelon(rows.values())
+            # re-adding reduced echelon rows reproduces them exactly: each
+            # pivot is its row's smallest column, 1 there and in no other row
+            n = len(table.classes)
+            valid = isinstance(table.incomplete, bool) and len(table.index) == n
+            valid = valid and len(rows) == len(data["rows"]) and dict(table.echelon.rows()) == rows
+            return table if valid and all(0 <= c < n for r in rows.values() for c in r) else None
+        except (OSError, ValueError, TypeError, LookupError, ArithmeticError):
+            return None
+
+    def _save_table(self, table, stamp) -> None:
+        """Write the table under ``stamp``; a failed write costs a rebuild."""
+        import json
+
+        rows = [[p, [[c, str(x)] for c, x in sorted(row.items())]] for p, row in table.echelon.rows()]
+        classes = [[[(v.genus, v.kappa) for v in c.vertices], c.legs, c.edges] for c in table.classes]
+        data = {"stamp": stamp, "incomplete": table.incomplete, "classes": classes, "rows": rows}
+        path = self._path(*table.ambient, "tables", "json")
+        try:
+            path.parent.mkdir(exist_ok=True)
+            _write_atomic(path, json.dumps(data, separators=(",", ":")) + "\n")
+        except OSError:
+            pass
 
     # -- ambient support --------------------------------------------------
 
@@ -492,12 +545,19 @@ class RelationRegistry:
         if table is None:
             if g >= 2:
                 raise InductiveDataMissing(key, "genus >= 2 factor")
-            table = _Table(key, tuple(enumerate_classes(g, m, k, decorations="none")))
-            for rel in self.relations(g, m, k):
-                table.echelon.add(_expansion_row(rel.terms(), table.index, key))
-            table.incomplete = (
-                g == 1 and m >= 4 and k >= 2 and not self.imported_relations(g, m, k)
-            )
+            stamp = self._stamp(key)
+            table = None if stamp is None else self._load_table(key, stamp)
+            if table is None:
+                table = _Table(key, tuple(enumerate_classes(g, m, k, decorations="none")))
+                for rel in self.relations(g, m, k):
+                    table.echelon.add(_expansion_row(rel.terms(), table.index, key))
+                table.incomplete = (
+                    g == 1 and m >= 4 and k >= 2 and not self.imported_relations(g, m, k)
+                )
+                # the gwi file may be new; one that changed meanwhile gets no table
+                built = self._stamp(key)
+                if built is not None and stamp in (None, built):
+                    self._save_table(table, built)
             self._tables[key] = table
         if table.incomplete and not allow_incomplete:
             raise InductiveDataMissing(
@@ -669,6 +729,29 @@ def _generate_wdvv(g: int, n: int, k: int) -> list[FormalSum]:
                     seen.add(key)
                     rels.append(rel)
     return rels
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write beside the target and rename over it, so a crash or a
+    concurrent writer never leaves a truncated file to be loaded."""
+    tmp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@lru_cache(maxsize=None)
+def _source_digest():
+    """The CRC of this package's own sources, chained into every table
+    stamp so that a changed program never loads an old table; None
+    when no source file is found, and then no table is read or written."""
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    crc = 0
+    for path in paths:
+        crc = zlib.crc32(path.read_bytes(), crc)
+    return crc if paths else None
 
 
 def _relation_fingerprint(rel: FormalSum):

@@ -134,6 +134,9 @@ def enumerate_classes(
         raise ValueError("unknown decoration mode %r" % decorations)
     if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise ValueError("no stable curves for (g, n) = (%d, %d)" % (g, n))
+    unknown = sorted(set(symmetrize_points or ()) - set(range(1, n + 1)))
+    if unknown:
+        raise ValueError("unknown external labels %s" % unknown)
     if k < 0 or k > 3 * g - 3 + n:
         return []
     found = set()

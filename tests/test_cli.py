@@ -275,3 +275,29 @@ def test_check_coord_lines_name_their_basis_class(tmp_path, capsys):
         cls, coeff = rest.rsplit(" ", 1)
         assert amb == "(0,4,1)x(0,3,0)" and coeff == "-1/2"
         parse_graph(cls)
+
+
+def test_discover_steps_same_with_warm_registry(tmp_path, capsys, monkeypatch):
+    # the second pass over the same registry loads every table from
+    # tables/ and must print and write exactly what the first did
+    import tautrel.relations
+
+    reg = tmp_path / "registry"
+    reg.mkdir()
+    passes, tables = [], []
+    for i in (1, 2):
+        work = tmp_path / ("pass%d" % i)
+        steps = [
+            ["find", "-g", "1", "-n", "4", "-k", "2", "--boundary-only", "--out", str(work / "out1")],
+            ["find", "-g", "1", "-n", "4", "-k", "2", "--out", str(work / "out2")],
+            ["check", str(work / "out1" / "candidate_g1n4k2_1.gwi")],
+        ]
+        runs = [run(capsys, "--registry", str(reg), *argv) for argv in steps]
+        files = sorted((p.relative_to(work), p.read_bytes()) for p in work.rglob("*.gwi"))
+        passes.append(([(code, out.replace(str(work), "$W"), err) for code, out, err in runs], files))
+        tables.append({p.name: p.read_bytes() for p in (reg / "tables").iterdir()})
+        # no table may be rebuilt in the second pass
+        monkeypatch.setattr(tautrel.relations, "enumerate_classes", None)
+    assert [code for code, _, _ in passes[0][0]] == [0, 0, 0]
+    assert len(passes[0][1]) == 2 and passes[0] == passes[1]
+    assert len(tables[0]) == 14 and tables[0] == tables[1]

@@ -1,17 +1,24 @@
 import hashlib
+import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
+import tautrel.relations as relations_module
 from tautrel.echelon import Echelon
 from tautrel.graphs import _slots_at, canonicalize, symmetrize, validate
-from tautrel.gwi import GwiParseError, format_sum, parse_graph, parse_sum
+from tautrel.gwi import GwiParseError, format_sum, parse_graph, parse_sum, read_file
 from tautrel.relations import (
     InductiveDataMissing,
     RelationRegistry,
+    _generate_wdvv,
     _genus0_step,
     from_automorphism_convention,
     genus0_trr_rewrite,
@@ -22,6 +29,7 @@ from tautrel.relations import (
     to_automorphism_convention,
     wdvv_relations,
 )
+from tautrel.solver import find_equations
 from tautrel.sums import FormalSum
 
 from conftest import random_disconnected_graph, random_stable_graph, small_strata
@@ -585,3 +593,175 @@ def test_disconnected_normal_form_outputs_golden():
             digest.update(format_sum(nf.as_formal_sum()).encode())
             digest.update((" %s\n" % [c for _, c in nf.items()]).encode())
     assert digest.hexdigest() == "245afa95a0915590fdbe7a73b12f1940dc2904bef6f14fa92478a883d229ebe0"
+
+
+# -- table files in the registry -----------------------------------------------
+
+
+def _table_file(root, g, n, k):
+    return root / "tables" / ("g%dn%dk%d.json" % (g, n, k))
+
+
+def _no_rebuild(monkeypatch):
+    """Make any table build in this test fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table rebuilt")
+
+    monkeypatch.setattr(relations_module, "enumerate_classes", refuse)
+
+
+def test_table_file_loads_without_rebuild(tmp_path, monkeypatch):
+    built = RelationRegistry(tmp_path).relation_basis(0, 6, 2)
+    assert built.rref_rows and _table_file(tmp_path, 0, 6, 2).is_file()
+    _no_rebuild(monkeypatch)
+    assert RelationRegistry(tmp_path).relation_basis(0, 6, 2) == built
+
+
+def test_table_file_keeps_incomplete_flag(tmp_path, monkeypatch):
+    with pytest.raises(InductiveDataMissing):
+        RelationRegistry(tmp_path).relation_basis(1, 4, 2)
+    assert json.loads(_table_file(tmp_path, 1, 4, 2).read_text())["incomplete"] is True
+    _no_rebuild(monkeypatch)
+    with pytest.raises(InductiveDataMissing):
+        RelationRegistry(tmp_path).relation_basis(1, 4, 2)
+
+
+def test_table_file_stale_after_import(tmp_path):
+    # the stamp covers the gwi file: an appended import forces a rebuild
+    from tautrel.data_files import genus1_four_point_equation
+
+    RelationRegistry(tmp_path)._table(1, 4, 2, allow_incomplete=True)
+    assert _table_file(tmp_path, 1, 4, 2).is_file()
+    with (tmp_path / "g1n4k2.gwi").open("a") as fh:
+        fh.write(format_sum(genus1_four_point_equation()) + "\n")
+    rb = RelationRegistry(tmp_path).relation_basis(1, 4, 2)
+    assert len(rb.basis) < len(rb.classes)
+
+
+def _pivot_not_min(data):
+    # name a row by its largest column, which is no other row's pivot
+    i = next(i for i, (_, row) in enumerate(data["rows"]) if len(row) > 1)
+    data["rows"][i][0] = data["rows"][i][1][-1][0]
+    return json.dumps(data)
+
+
+def _pivot_not_one(data):
+    data["rows"][0][1][0][1] = "2"
+    return json.dumps(data)
+
+
+def _column_out_of_range(data):
+    data["rows"][0][1].append([len(data["classes"]), "1"])
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: json.dumps(data)[:100],
+        lambda data: json.dumps({**data, "rows": {"0": []}}),
+        lambda data: json.dumps({**data, "incomplete": "no"}),
+        lambda data: json.dumps({**data, "classes": data["classes"][:1] + data["classes"][:-1]}),
+        _column_out_of_range,
+        lambda data: json.dumps({**data, "rows": data["rows"] + data["rows"][:1]}),
+        _pivot_not_min,
+        _pivot_not_one,
+    ],
+    ids=[
+        "truncated", "wrong-shape", "flag-not-bool", "duplicate-class",
+        "column-out-of-range", "duplicate-pivot", "pivot-not-min", "pivot-not-one",
+    ],
+)
+def test_corrupt_table_file_is_a_miss(tmp_path, monkeypatch, corrupt):
+    built = RelationRegistry(tmp_path).relation_basis(0, 5, 2)
+    path = _table_file(tmp_path, 0, 5, 2)
+    valid = path.read_text()
+    path.write_text(corrupt(json.loads(valid)))
+    assert RelationRegistry(tmp_path).relation_basis(0, 5, 2) == built
+    assert path.read_text() == valid
+    _no_rebuild(monkeypatch)
+    assert RelationRegistry(tmp_path).relation_basis(0, 5, 2) == built
+
+
+def test_changed_sources_force_rebuild(tmp_path, monkeypatch):
+    RelationRegistry(tmp_path).relation_basis(0, 5, 2)
+    path = _table_file(tmp_path, 0, 5, 2)
+    old = json.loads(path.read_text())
+    calls = []
+    real = relations_module.enumerate_classes
+    monkeypatch.setattr(relations_module, "enumerate_classes", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    monkeypatch.setattr(relations_module, "_source_digest", lambda: 12345)
+    RelationRegistry(tmp_path).relation_basis(0, 5, 2)
+    assert calls == [(0, 5, 2)]
+    new = json.loads(path.read_text())
+    assert new["stamp"] != old["stamp"] and {**new, "stamp": 0} == {**old, "stamp": 0}
+
+
+def test_relation_file_changed_during_build_gets_no_table(tmp_path, monkeypatch):
+    RelationRegistry(tmp_path).relations(0, 5, 2)
+    real = RelationRegistry.relations
+
+    def relations_then_edit(self, g, n, k):
+        rels = real(self, g, n, k)
+        with self._path(g, n, k).open("a") as fh:
+            fh.write("# edited while the table was built\n")
+        return rels
+
+    monkeypatch.setattr(RelationRegistry, "relations", relations_then_edit)
+    RelationRegistry(tmp_path).relation_basis(0, 5, 2)
+    assert not _table_file(tmp_path, 0, 5, 2).exists()
+
+
+def test_no_sources_no_table_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(relations_module, "_source_digest", lambda: None)
+    RelationRegistry(tmp_path).relation_basis(0, 5, 2)
+    assert (tmp_path / "g0n5k2.gwi").is_file() and not (tmp_path / "tables").exists()
+
+
+def test_unwritable_tables_keep_working(tmp_path, monkeypatch):
+    real_write_text = Path.write_text
+
+    def fail_in_tables(self, data, *args, **kwargs):
+        if self.parent.name == "tables":
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("read-only")
+        return real_write_text(self, data, *args, **kwargs)
+
+    want = RelationRegistry().relation_basis(0, 6, 2)
+    monkeypatch.setattr(Path, "write_text", fail_in_tables)
+    for _ in range(2):
+        assert RelationRegistry(tmp_path).relation_basis(0, 6, 2) == want
+    assert list((tmp_path / "tables").iterdir()) == []
+
+
+def test_table_files_independent_of_hash_seed(tmp_path):
+    src = Path(__file__).parents[1] / "src"
+    files = []
+    for hashseed in (1, 2):
+        reg = tmp_path / ("seed%d" % hashseed)
+        reg.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "TAUT_REGISTRY_DIR"}
+        env.update(PYTHONHASHSEED=str(hashseed), PYTHONPATH=str(src))
+        argv = ["--registry", str(reg), "find", "-g", "1", "-n", "4", "-k", "2", "--boundary-only", "--out", str(reg)]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from tautrel.cli import main; sys.exit(main())", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files.append({p.name: p.read_bytes() for p in sorted((reg / "tables").iterdir())})
+    assert len(files[0]) == 14 and files[0] == files[1]
+
+
+def test_registry_files_round_trip(tmp_path):
+    # every relation file a (1,4,2) psi find writes reads back as exactly
+    # the generated relations, in order
+    reg = RelationRegistry(tmp_path)
+    find_equations(1, 4, 2, reg, decorations="psi")
+    paths = sorted(tmp_path.glob("g*.gwi"))
+    assert len(paths) == 14
+    for path in paths:
+        g, n, k = map(int, re.fullmatch(r"g(\d+)n(\d+)k(\d+)\.gwi", path.name).groups())
+        comments, rels = read_file(path)
+        assert comments == ["# convention: glued-half-edges", "# provenance: generated"]
+        assert rels == _generate_wdvv(g, n, k) == reg.relations(g, n, k), path.name

@@ -91,6 +91,13 @@ def test_unknown_symmetrize_points_refused():
         orbits(enumerate_classes(0, 5, 2, decorations="psi"), (7, 2, 6))
 
 
+def test_unknown_symmetrize_points_refused_outside_codimension_range():
+    # a codimension with no classes still checks the points against 1..n
+    with pytest.raises(ValueError, match=r"unknown external labels \[9\]"):
+        enumerate_classes(0, 5, 9, symmetrize_points={9})
+    assert enumerate_classes(0, 5, 9, symmetrize_points={1, 5}) == []
+
+
 def _split_with_edge(g, v, g1, g2, side_of):
     split = _apply_split(
         g, v, g1, g2, g.vertices[v].kappa, (), side_of,
