@@ -42,6 +42,12 @@ def _add_ambient(p):
     p.add_argument("-k", type=int, required=True, help="codimension")
 
 
+def _lmax(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("%s is negative" % text)
+    return int(text)
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="taut",
@@ -59,14 +65,14 @@ def _build_parser():
 
     p = sub.add_parser("find", help="derive equation candidates for an ambient")
     _add_ambient(p)
-    p.add_argument("--lmax", type=int, help="override the operator index bound")
+    p.add_argument("--lmax", type=_lmax, help="override the operator index bound")
     p.add_argument("--boundary-only", action="store_true")
     p.add_argument("--no-symmetrize", action="store_true", help="full unsymmetrized space")
     p.add_argument("--out", default=".", help="directory for candidate files")
 
     p = sub.add_parser("check", help="test a gwi file for operator invariance")
     p.add_argument("file")
-    p.add_argument("--lmax", type=int)
+    p.add_argument("--lmax", type=_lmax)
 
     p = sub.add_parser("reduce", help="normal form of a gwi file modulo relations")
     p.add_argument("file")
@@ -142,7 +148,8 @@ def cmd_check(args) -> int:
         print("error: mixed (genus, labels, codim) ambients %s" % ambients, file=sys.stderr)
         return EXIT_BAD_INPUT
     (g, labels, k), = ambients
-    lmax = args.lmax if args.lmax is not None else operator_index_bound(g, len(labels), k)
+    bound = operator_index_bound(g, len(labels), k)
+    lmax = bound if args.lmax is None else args.lmax
     reports = check_invariance(fs, range(1, lmax + 1), registry)
     ok = True
     for l in sorted(reports):
@@ -157,7 +164,8 @@ def cmd_check(args) -> int:
                 cls = format_graph(nf.basis_class(key))
                 print("  COORD %s %s %s" % (nf.key_ambient(key), cls, coeff))
     if lmax == 0:
-        print("l-range empty (top codimension): vacuously invariant")
+        why = "top codimension" if bound == 0 else "--lmax 0"
+        print("l-range empty (%s): vacuously invariant" % why)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -174,15 +182,9 @@ def cmd_reduce(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"enumerate": cmd_enumerate, "find": cmd_find, "check": cmd_check, "reduce": cmd_reduce}
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-        if args.command == "find":
-            return cmd_find(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "reduce":
-            return cmd_reduce(args)
+        return commands[args.command](args)
     except (ValueError, OSError) as exc:
         # unreadable, unwritable or malformed input, a registry file included
         print("error: %s" % exc, file=sys.stderr)
@@ -190,7 +192,6 @@ def main(argv=None) -> int:
     except InductiveDataMissing as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISSING_DATA
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

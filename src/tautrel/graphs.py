@@ -306,22 +306,26 @@ def _rewire(g: DecoratedGraph, vertices, move=None, psi=None, legs=(), edges=())
     )
 
 
-def _side_assignments(g: DecoratedGraph, v: int):
-    """Every assignment of the slots at vertex v to sides 0 and 1, as
+def _side_assignments(g: DecoratedGraph, v: int, side0=(), side1=()):
+    """The one enumerator of vertex splits: every assignment of the
+    slots at vertex v to sides 0 and 1 keeping ``side0`` and ``side1``
+    on their side, the free slots in ``itertools.product`` order, as
     (move, slots per side, psi sum per side); ``move`` sends the
     side-1 slots to a new vertex appended at index ``g.n_vertices``."""
-    slots = _slots_at(g, v)
+    slots, nb = _slots_at(g, v), g.n_vertices
     total = sum(p for _, p in slots)
+    choices = [(0,) if s in side0 else (1,) if s in side1 else (0, 1) for s, _ in slots]
     out = []
-    for sides in itertools.product((0, 1), repeat=len(slots)):
-        moved = [(s, p) for (s, p), side in zip(slots, sides) if side]
-        psi1 = sum(p for _, p in moved)
-        out.append((
-            {s: g.n_vertices for s, _ in moved},
-            (len(slots) - len(moved), len(moved)),
-            (total - psi1, psi1),
-        ))
+    for sides in itertools.product(*choices):
+        moved = list(itertools.compress(slots, sides))
+        n1, psi1 = len(moved), sum([p for _, p in moved])
+        out.append(({s: nb for s, _ in moved}, (len(slots) - n1, n1), (total - psi1, psi1)))
     return out
+
+
+def _side_ok(genus: int, valence: int, degree: int = 0) -> bool:
+    """Stable and nonnegative-dimensional with this genus, valence and degree."""
+    return 2 * genus - 2 + valence > 0 and 3 * genus - 3 + valence >= degree
 
 
 def _kappa_splits(kappa: tuple[int, ...]):
@@ -522,13 +526,16 @@ def canonicalize(g: DecoratedGraph) -> DecoratedGraph:
     )
 
 
-def _relabelling_orbit(g: DecoratedGraph):
-    """(orbit key, slot labels) of ``g`` under renaming its external
-    labels.  The key is the canonical encoding with every label merged
-    into one; the slot labels list the legs by (canonical vertex
-    position, psi, label).  Two graphs with equal keys differ by the
-    renaming that pairs their slot labels position by position."""
-    enc, order, _ = _canonical_order(g.relabel(dict.fromkeys(g.external_labels(), 0)))
+@lru_cache(maxsize=None)
+def _relabelling_orbit(g: DecoratedGraph, points: tuple[int, ...] | None = None):
+    """(orbit key, slot labels) of ``g`` under permuting the sorted labels
+    ``points`` (default: all): the canonical encoding with them merged
+    into the smallest, and the leg labels by (canonical vertex position,
+    psi, label).  With all labels merged, graphs with equal keys differ by
+    the renaming pairing their slot labels position by position.  Memoised:
+    the orbit partition and the coordinate engine share each search."""
+    points = g.external_labels() if points is None else points
+    enc, order, _ = _canonical_order(g.relabel({p: points[0] for p in points}))
     pos = {v: i for i, v in enumerate(order)}
     return enc, tuple(l.label for l in sorted(g.legs, key=lambda l: (pos[l.vertex], l.psi, l.label)))
 

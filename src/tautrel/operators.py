@@ -35,6 +35,7 @@ from .graphs import (
     _kappa_splits,
     _rewire,
     _side_assignments,
+    _side_ok,
     _valences_and_dimensions,
     is_valid,
 )
@@ -148,11 +149,6 @@ def split_vertices(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
                         )
                         terms.append((_rewire(g, verts, move, legs=new_legs), coeff))
     return _filtered(terms)
-
-
-def _side_ok(genus: int, valence: int, degree: int) -> bool:
-    """Stable and nonnegative-dimensional with this genus, valence and degree."""
-    return 2 * genus - 2 + valence > 0 and 3 * genus - 3 + valence >= degree
 
 
 def _fresh_labels(labels) -> tuple[int, int]:

@@ -27,11 +27,12 @@ make, and its expansion is reduced once per such class and memoised.
 ``RelationRegistry.normal_coords`` is the one coordinate engine.  It
 reduces the image of a sum under a map that commutes with renaming
 labels (the identity, or an operator r_l): the terms fall into
-relabelling classes, the map runs on the first term of each, and every
-member renames that image's components by the permutation its renaming
-induces on their labels.  A refusal reduces the merged image term by
-term in sort_key order: the first term lacking data refuses, whatever
-the input order, and a lacking term that cancels in the merge does not.
+relabelling classes by the orbits' memoised key, the map runs on the
+first term of each, and every member renames that image's components by
+the permutation its renaming induces on their labels.  A refusal reduces
+the merged image term by term in sort_key order: the first term lacking
+data refuses, whatever the input order, and a lacking term that cancels
+in the merge does not.
 
 Supported inductive range: genus-0 factors of any size, genus-1
 factors generated completely for at most three special points.  A
@@ -62,6 +63,8 @@ from .graphs import (
     _kappa_splits,
     _relabelling_orbit,
     _rewire,
+    _side_assignments,
+    _side_ok,
     _slots_at,
     automorphism_count,
     canonicalize,
@@ -93,25 +96,18 @@ def _linked_splits(g: DecoratedGraph, v: int, genera, side0, side1, dec=None):
     """The valid splittings of vertex v into two vertices of the given
     genera joined by a new edge.
 
-    The ``side0`` slots stay at v, the ``side1`` slots move to the new
-    vertex and every other slot goes either way; kappa factors
-    distribute in all ways, and the psi power at slot ``dec`` drops by
-    one.  Subset sizes that leave a half unstable are skipped unbuilt.
-    """
+    ``_side_assignments`` keeps the ``side0`` slots at v and moves the
+    ``side1`` slots to the new vertex, the others going either way;
+    kappa factors distribute in all ways, the psi power at slot ``dec``
+    drops by one, and unstable halves are skipped unbuilt."""
     nb = g.n_vertices
-    slots = [s for s, _ in _slots_at(g, v)]
-    free = [s for s in slots if s not in side0 and s not in side1]
     before, after = g.vertices[:v], g.vertices[v + 1 :]
     psi = {} if dec is None else {dec: -1}
     link = ((End(v, 0), End(nb, 0)),)
     out = []
-    for t in range(len(free) + 1):
+    for move, count, _ in _side_assignments(g, v, side0, side1):
         # each half keeps its slots plus one end of the new edge
-        n0 = len(side0) + t
-        if 2 * genera[0] - 1 + n0 <= 0 or 2 * genera[1] - 1 + len(slots) - n0 <= 0:
-            continue
-        for extra in itertools.combinations(free, t):
-            move = {s: nb for s in slots if s not in side0 and s not in extra}
+        if _side_ok(genera[0], count[0] + 1) and _side_ok(genera[1], count[1] + 1):
             for k1, k2 in _kappa_splits(g.vertices[v].kappa):
                 verts = before + (Vertex(genera[0], k1),) + after + (Vertex(genera[1], k2),)
                 cand = _rewire(g, verts, move, psi, edges=link)
@@ -576,7 +572,7 @@ class RelationRegistry:
         with renaming external labels, fixing every label it adds."""
         classes: dict = {}
         for graph, coeff in terms:
-            key, slots = _relabelling_orbit(graph)
+            key, slots = _relabelling_orbit(graph, graph.external_labels())
             classes.setdefault(key, []).append((graph, slots, coeff))
         renamed: dict = {}  # (normalised component, permutation) -> normalised component
 

@@ -288,6 +288,8 @@ def find_equations(
     dim = 3 * g - 3 + n
     if k < 0 or k > dim:
         raise ValueError("codimension %d out of range for (%d,%d)" % (k, g, n))
+    if lmax is not None and lmax < 0:
+        raise ValueError("lmax %d is negative" % lmax)
     found = enumerate_classes(g, n, k, decorations=decorations)
     # symmetrize(r, 1..n) holds each member of the orbit of r n!/|orbit| times
     groups = orbits(found, range(1, n + 1)) if symmetrized else [[c] for c in found]

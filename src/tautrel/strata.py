@@ -24,8 +24,10 @@ from .graphs import (
     End,
     Leg,
     Vertex,
+    _relabelling_orbit,
     _rewire,
     _side_assignments,
+    _side_ok,
     _slots_at,
     _valences_and_dimensions,
     canonicalize,
@@ -34,8 +36,8 @@ from .graphs import (
 
 
 def _one_edge_degenerations(g: DecoratedGraph):
+    """One-edge degenerations of the stable graph g; only a split's halves can be unstable."""
     out = []
-    nb = g.n_vertices  # index of the second half of a split
     for v, vert in enumerate(g.vertices):
         before, after = g.vertices[:v], g.vertices[v + 1 :]
         # non-separating: genus drops, loop appears
@@ -49,11 +51,8 @@ def _one_edge_degenerations(g: DecoratedGraph):
             verts = before + (Vertex(g1, vert.kappa),) + after + (Vertex(g2),)
             for move, count, _ in assignments:
                 # each half keeps its slots plus one end of the new edge
-                if 2 * g1 - 1 + count[0] <= 0 or 2 * g2 - 1 + count[1] <= 0:
-                    continue
-                split = _rewire(g, verts, move, edges=((End(v, 0), End(nb, 0)),))
-                if all(split.is_stable_vertex(u) for u in range(split.n_vertices)):
-                    out.append(split)
+                if _side_ok(g1, count[0] + 1) and _side_ok(g2, count[1] + 1):
+                    out.append(_rewire(g, verts, move, edges=((End(v, 0), End(g.n_vertices, 0)),)))
     return out
 
 
@@ -158,13 +157,12 @@ def enumerate_classes(
 
 def orbits(classes, points) -> list[list[DecoratedGraph]]:
     """The orbits of ``classes`` under permuting the labels ``points``,
-    in input order, keyed by the canonical form with those labels merged."""
-    pts = sorted(points)
-    merged = {p: pts[0] for p in pts}
+    in input order, keyed by the graphs' relabelling orbit."""
+    pts = tuple(sorted(points))
     out: dict = {}
     for graph in classes:
         missing = sorted(set(pts) - set(graph.external_labels()))
         if missing:
             raise ValueError("unknown external labels %s" % missing)
-        out.setdefault(canonicalize(graph.relabel(merged)), []).append(graph)
+        out.setdefault(_relabelling_orbit(graph, pts)[0], []).append(graph)
     return list(out.values())

@@ -103,6 +103,26 @@ def test_check_top_codimension_vacuous(tmp_path, capsys):
     assert "vacuously" in out
 
 
+def test_check_forced_lmax_zero_is_not_top_codimension(capsys):
+    # the golden class has codimension 2 of 4: only --lmax 0 empties the range
+    code, out, _ = run(capsys, "check", str(GOLDEN), "--lmax", "0")
+    assert code == 0
+    assert out == "l-range empty (--lmax 0): vacuously invariant\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["find", "-g", "0", "-n", "5", "-k", "1", "--lmax", "-1"],
+    ["check", str(GOLDEN), "--lmax", "-2"],
+])
+def test_negative_lmax_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(tmp_path)] if argv[0] == "find" else []))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and "--lmax: %s is negative" % argv[-1] in out.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_check_perturbed_fails(tmp_path, capsys):
     golden = parse_sum(GOLDEN.read_text().strip())
     lead, _ = golden.terms()[0]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -13,13 +14,24 @@ import pytest
 
 import tautrel.relations as relations_module
 from tautrel.echelon import Echelon
-from tautrel.graphs import _slots_at, canonicalize, symmetrize, validate
+from tautrel.graphs import (
+    DecoratedGraph,
+    End,
+    Leg,
+    _kappa_splits,
+    _slots_at,
+    canonicalize,
+    is_valid,
+    symmetrize,
+    validate,
+)
 from tautrel.gwi import GwiParseError, format_sum, parse_graph, parse_sum, read_file
 from tautrel.relations import (
     InductiveDataMissing,
     RelationRegistry,
     _generate_wdvv,
     _genus0_step,
+    _linked_splits,
     from_automorphism_convention,
     genus0_trr_rewrite,
     genus1_trr_rewrite,
@@ -32,7 +44,7 @@ from tautrel.relations import (
 from tautrel.solver import find_equations
 from tautrel.sums import FormalSum
 
-from conftest import random_disconnected_graph, random_stable_graph, small_strata
+from conftest import _apply_split, random_disconnected_graph, random_stable_graph, small_strata
 
 
 def _fs(text):
@@ -83,6 +95,66 @@ def test_rewrite_preserves_normal_form(registry):
         e = FormalSum.single(g, Fraction(3, 2))
         assert registry.normal_form(e) == registry.normal_form(genus0_trr_rewrite(e))
         done += 1
+
+
+def _linked_split_reference(g, v, genera, k1, k2, side_of, dec):
+    """One linked split built with _apply_split: the two placeholder
+    legs become the link edge, and the psi power at the image of slot
+    ``dec`` of ``g`` drops by one."""
+    nb = g.n_vertices
+    split = _apply_split(g, v, genera[0], genera[1], k1, k2, side_of, (Leg(0, -1, 0), Leg(0, -2, 0)))
+    legs = [l for l in split.legs if l.label > 0]
+    edges = list(split.edges) + [(End(v, 0), End(nb, 0))]
+    if dec is not None and dec[0] == "leg":
+        label = g.legs[dec[1]].label
+        legs = [Leg(l.vertex, l.label, l.psi - (l.label == label)) for l in legs]
+    elif dec is not None:
+        i, side = dec[1]
+        ends = [End(v if side_of[("end", (i, s))] == 0 else nb, g.edges[i][s].psi)
+                if g.edges[i][s].vertex == v else g.edges[i][s] for s in (0, 1)]
+        at = edges.index(tuple(sorted(ends)))
+        ends[side] = End(ends[side].vertex, ends[side].psi - 1)
+        edges[at] = tuple(ends)
+    return DecoratedGraph(split.vertices, tuple(legs), tuple(edges))
+
+
+def _linked_splits_unpruned(g, v, genera, side0, side1, dec=None):
+    """Reference: every linked split honouring the pinned slots built,
+    then filtered with is_valid."""
+    slots = [s for s, _ in _slots_at(g, v)]
+    out = []
+    for sides in itertools.product((0, 1), repeat=len(slots)):
+        side_of = dict(zip(slots, sides))
+        if any(side_of[s] for s in side0) or not all(side_of[s] for s in side1):
+            continue
+        for k1, k2 in _kappa_splits(g.vertices[v].kappa):
+            cand = _linked_split_reference(g, v, genera, k1, k2, side_of, dec)
+            if is_valid(cand):
+                out.append((cand, Fraction(1)))
+    return FormalSum(out)
+
+
+def test_linked_splits_match_reference():
+    # free, pinned-pair (as in WDVV) and psi-dropping (as in the
+    # recursions) splits of every vertex, over every genus division
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(120):
+        g = random_stable_graph(rng)
+        for v, vert in enumerate(g.vertices):
+            slots = sorted(s for s, _ in _slots_at(g, v))
+            cases = [((), (), None), (slots[:2], slots[2:4], None)]
+            for ref in sorted(s for s, p in _slots_at(g, v) if p > 0)[:2]:
+                others = [s for s in slots if s != ref]
+                cases += [((ref,), others[:2], ref), ((ref,), (), ref)]
+            for side0, side1, dec in cases:
+                for g1 in range(vert.genus + 1):
+                    genera = (g1, vert.genus - g1)
+                    got = FormalSum([(c, Fraction(1)) for c in _linked_splits(g, v, genera, side0, side1, dec)])
+                    assert got == _linked_splits_unpruned(g, v, genera, side0, side1, dec), (g, v, genera, side0, side1, dec)
+                    if not got.is_zero():
+                        seen.add((vert.genus, dec is None, dec is not None and dec[0]))
+    assert {(0, False, "leg"), (0, False, "end"), (1, False, "leg"), (1, True, False)} <= seen
 
 
 # -- genus-1 recursion -------------------------------------------------------
@@ -364,9 +436,10 @@ def test_keel_recursion_known_values():
     assert _keel_poincare(7) == [1, 42, 127, 42, 1]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_genus0_basis_sizes_are_betti_numbers(registry, n):
-    # n = 7 agrees as well (42, 127) but takes about 27 s over all k
+    # n = 7 (Keel: 1, 42, 127, 42, 1) takes about 27 s over all k, so
+    # it is marked slow and runs with -m slow
     betti = _keel_poincare(n)
     assert len(betti) == n - 2
     for k, b in enumerate(betti):

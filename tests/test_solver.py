@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tautrel import solver
-from tautrel.graphs import symmetrize
+from tautrel.graphs import _relabelling_orbit, symmetrize
 from tautrel.gwi import format_sum, parse_graph, parse_sum
 from tautrel.operators import apply_r
 from tautrel.relations import InductiveDataMissing, RelationRegistry
@@ -455,8 +457,40 @@ def test_check_invariance_refusal_text():
     assert str(exc.value) == "inductive data missing for (g,n,k)=(2, 4, 2): genus >= 2 factor"
 
 
+def test_find_refuses_negative_lmax():
+    with pytest.raises(ValueError, match="lmax -1 is negative"):
+        find_equations(0, 5, 1, RelationRegistry(), lmax=-1)
+
+
+def test_symmetrized_find_searches_each_class_once(registry):
+    # the orbit partition, the r_1 image and filter_trivial share one
+    # memoised relabelling-orbit search per class
+    _relabelling_orbit.cache_clear()
+    report = find_equations(0, 6, 2, registry, decorations="psi")
+    info = _relabelling_orbit.cache_info()
+    classes = sum(len(c.terms()) for c in report.classes)
+    assert info.misses == classes == 281
+    assert info.hits == 2 * classes
+
+
 def test_find_072_golden():
     # the symmetrized (0,7,2) report: 4 orbits, rank 4, nullspace 0
     report = find_equations(0, 7, 2, RelationRegistry())
     digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
     assert digest == "f49ff0cb8cca8a5be4b74b1dfcf7dc4fcce3bcdc778a90189308c7f0572b606d"
+
+
+@pytest.mark.slow
+def test_find_082_cli_golden(tmp_path):
+    # the stdout of a cold `taut find -g 0 -n 8 -k 2` (symmetrized, psi),
+    # about 90 s and 180 MB peak RSS on a 2-core VM
+    env = {k: v for k, v in os.environ.items() if k != "TAUT_REGISTRY_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from tautrel.cli import main; sys.exit(main())",
+         "find", "-g", "0", "-n", "8", "-k", "2"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=900,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == "17199aa9c8119c84db34e26ac4c7a2a108948d7411b925ed7dafecd9fa062c71"
