@@ -58,8 +58,9 @@ def _build_parser():
 
     p = sub.add_parser("enumerate", help="list decorated classes of an ambient")
     _add_ambient(p)
-    p.add_argument("--boundary-only", action="store_true", help="strata only, no psi")
-    p.add_argument("--kappa", action="store_true", help="include kappa decorations")
+    decorations = p.add_mutually_exclusive_group()
+    decorations.add_argument("--boundary-only", action="store_true", help="strata only, no psi")
+    decorations.add_argument("--kappa", action="store_true", help="include kappa decorations")
     p.add_argument("--symmetrize", action="store_true", help="one class per orbit")
     p.add_argument("--out", help="write listing to a file instead of stdout")
 

@@ -127,7 +127,7 @@ class DecoratedGraph:
         return out
 
     def valence(self, v: int) -> int:
-        return len(self.legs_at(v)) + len(self.ends_at(v))
+        return _valences_and_dimensions(self)[0][v]
 
     def external_labels(self) -> tuple[int, ...]:
         return tuple(sorted(l.label for l in self.legs))
@@ -409,33 +409,17 @@ def dimension(g: DecoratedGraph) -> int:
 # vertex ordering minimising a total encoding, found by iterated
 # colour refinement plus backtracking over tied colour classes.  In
 # the sizes this engine targets (< 20 half-edges) the backtracking is
-# negligible.
+# negligible.  The initial colour (genus, kappa, legs, loops, valence)
+# fixes the leaf order, and with it every canonical form and sort key.
 
 
-def _adjacency(g: DecoratedGraph):
-    adj = defaultdict(list)
-    for e in g.edges:
-        a, b = e
-        if a.vertex != b.vertex:
-            adj[a.vertex].append((b.vertex, a.psi, b.psi))
-            adj[b.vertex].append((a.vertex, b.psi, a.psi))
-    return adj
-
-
-def _initial_colors(g: DecoratedGraph):
-    cols = []
-    for v in range(g.n_vertices):
-        vert = g.vertices[v]
-        legs = tuple(sorted((l.label, l.psi) for l in g.legs_at(v)))
-        loops = tuple(
-            sorted(
-                tuple(sorted((e[0].psi, e[1].psi)))
-                for e in g.edges
-                if e[0].vertex == v and e[1].vertex == v
-            )
-        )
-        cols.append((vert.genus, vert.kappa, legs, loops, g.valence(v)))
-    return _intern(cols)
+def _records(g: DecoratedGraph, rename: Mapping[int, int] | None = None):
+    """Each vertex's (genus, kappa, sorted (label, psi) legs), labels renamed."""
+    rename = (rename or {}).get
+    legs = [[] for _ in g.vertices]
+    for l in g.legs:
+        legs[l.vertex].append((rename(l.label, l.label), l.psi))
+    return [(v.genus, v.kappa, tuple(sorted(ls))) for v, ls in zip(g.vertices, legs)]
 
 
 def _intern(cols) -> list[int]:
@@ -443,38 +427,30 @@ def _intern(cols) -> list[int]:
     return [ranking[c] for c in cols]
 
 
-def _refine(g: DecoratedGraph, cols: list[int], adj) -> list[int]:
+def _refine(cols: list[int], adj) -> list[int]:
     while True:
-        new = [
-            (cols[v], tuple(sorted((cols[u], pv, pu) for u, pv, pu in adj[v])))
-            for v in range(g.n_vertices)
-        ]
-        new = _intern(new)
+        new = _intern([
+            (cols[v], tuple(sorted((cols[u], pv, pu) for u, pv, pu in nbrs)))
+            for v, nbrs in enumerate(adj)
+        ])
         if len(set(new)) == len(set(cols)):
             return new
         cols = new
 
 
-def _encode(g: DecoratedGraph, order: Sequence[int]):
+def _encode(records, edges: Iterable[Edge], order: Sequence[int]):
     pos = {v: i for i, v in enumerate(order)}
-    records = tuple(
-        (
-            g.vertices[v].genus,
-            g.vertices[v].kappa,
-            tuple(sorted((l.label, l.psi) for l in g.legs_at(v))),
-        )
-        for v in order
-    )
-    edges = []
-    for e in g.edges:
+    placed = []
+    for e in edges:
         a = (pos[e[0].vertex], e[0].psi)
         b = (pos[e[1].vertex], e[1].psi)
-        edges.append((a, b) if a <= b else (b, a))
-    return (records, tuple(sorted(edges)))
+        placed.append((a, b) if a <= b else (b, a))
+    return (tuple(records[v] for v in order), tuple(sorted(placed)))
 
 
-def _canonical_order(g: DecoratedGraph):
-    """(encoding, vertex order, leaf count) of the minimal encoding.
+def _canonical_order(g: DecoratedGraph, rename: Mapping[int, int] | None = None):
+    """(encoding, vertex order, leaf count) of the minimal encoding of
+    ``g`` with its labels renamed by ``rename``.
 
     The search visits every leaf of the refinement tree.  The count is
     the number of leaves reaching the minimal encoding.  The vertex
@@ -482,7 +458,16 @@ def _canonical_order(g: DecoratedGraph):
     a given such leaf to another, so the count is the order of the
     vertex part of the automorphism group.
     """
-    adj = _adjacency(g)
+    records = _records(g, rename)
+    loops = [[] for _ in records]
+    adj = [[] for _ in records]
+    for a, b in g.edges:
+        if a.vertex == b.vertex:
+            loops[a.vertex].append((a.psi, b.psi))  # ends are stored sorted
+        else:
+            adj[a.vertex].append((b.vertex, a.psi, b.psi))
+            adj[b.vertex].append((a.vertex, b.psi, a.psi))
+    valence = _valences_and_dimensions(g)[0]
     best: list = [None, None, 0]
 
     def rec(cols):
@@ -492,7 +477,7 @@ def _canonical_order(g: DecoratedGraph):
         multi = [c for c in sorted(classes) if len(classes[c]) > 1]
         if not multi:
             order = [classes[c][0] for c in sorted(classes)]
-            enc = _encode(g, order)
+            enc = _encode(records, g.edges, order)
             if best[0] is None or enc < best[0]:
                 best[:] = enc, order, 1
             elif enc == best[0]:
@@ -501,9 +486,10 @@ def _canonical_order(g: DecoratedGraph):
         target = multi[0]
         for v in classes[target]:
             marked = [(c, 0 if u == v else 1) for u, c in enumerate(cols)]
-            rec(_refine(g, _intern(marked), adj))
+            rec(_refine(_intern(marked), adj))
 
-    rec(_refine(g, _initial_colors(g), adj))
+    initial = [r + (tuple(sorted(lp)), val) for r, lp, val in zip(records, loops, valence)]
+    rec(_refine(_intern(initial), adj))
     return tuple(best)
 
 
@@ -535,7 +521,7 @@ def _relabelling_orbit(g: DecoratedGraph, points: tuple[int, ...] | None = None)
     the renaming pairing their slot labels position by position.  Memoised:
     the orbit partition and the coordinate engine share each search."""
     points = g.external_labels() if points is None else points
-    enc, order, _ = _canonical_order(g.relabel({p: points[0] for p in points}))
+    enc, order, _ = _canonical_order(g, {p: points[0] for p in points})
     pos = {v: i for i, v in enumerate(order)}
     return enc, tuple(l.label for l in sorted(g.legs, key=lambda l: (pos[l.vertex], l.psi, l.label)))
 
@@ -545,7 +531,7 @@ def sort_key(g: DecoratedGraph) -> str:
     """Deterministic total order on graphs up to isomorphism
     (lexicographic on the canonical encoding)."""
     c = canonicalize(g)
-    return repr(_encode(c, range(c.n_vertices)))
+    return repr(_encode(_records(c), c.edges, range(c.n_vertices)))
 
 
 def is_isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> bool:

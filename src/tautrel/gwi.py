@@ -199,13 +199,15 @@ def parse_symbolic(text: str) -> SymbolicSum:
     return SymbolicSum(out)
 
 
-def read_file(path) -> tuple[list[str], list[FormalSum]]:
+def read_file(path, check=None) -> tuple[list[str], list[FormalSum]]:
     """The comment lines and the sums of a gwi file, one sum per line.
 
     Blank lines are skipped, and a line whose first non-blank
     character is "#" is a comment.  ``path`` is a ``pathlib.Path`` or
-    an ``importlib.resources`` traversable.  A line that does not
-    parse raises GwiParseError naming the file and the line number.
+    an ``importlib.resources`` traversable.  ``check``, if given, is
+    called on every sum and raises ValueError to refuse it.  A line
+    that does not parse or is refused raises its error again, naming
+    the file and the line number.
     """
     comments, sums = [], []
     for number, line in enumerate(path.read_text().splitlines(), start=1):
@@ -215,8 +217,10 @@ def read_file(path) -> tuple[list[str], list[FormalSum]]:
         elif line:
             try:
                 sums.append(parse_sum(line))
-            except GwiParseError as exc:
-                raise GwiParseError("%s:%d: %s" % (path, number, exc)) from exc
+                if check is not None:
+                    check(sums[-1])
+            except ValueError as exc:
+                raise type(exc)("%s:%d: %s" % (path, number, exc)) from exc
     return comments, sums
 
 

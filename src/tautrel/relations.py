@@ -453,7 +453,7 @@ class RelationRegistry:
             return None
         from .gwi import read_file
 
-        comments, rels = read_file(path)
+        comments, rels = read_file(path, _ambient_check(g, n, k))
         convention = "glued-half-edges"
         for line in comments:
             if "convention:" in line:
@@ -462,7 +462,7 @@ class RelationRegistry:
             rels = [from_automorphism_convention(r) for r in rels]
         elif convention != "glued-half-edges":
             raise ValueError("unknown convention %r in %s" % (convention, path))
-        return rels
+        return [r for r in rels if not r.is_zero()]
 
     def _save_file(self, g, n, k, rels):
         from .gwi import format_sum
@@ -725,6 +725,20 @@ def _generate_wdvv(g: int, n: int, k: int) -> list[FormalSum]:
                     seen.add(key)
                     rels.append(rel)
     return rels
+
+
+def _ambient_check(g: int, n: int, k: int):
+    """A ``read_file`` check refusing a relation with a term that is not
+    a connected graph of total genus g, labels 1..n and codimension k."""
+    labels = tuple(range(1, n + 1))
+
+    def check(rel: FormalSum) -> None:
+        for graph, _ in rel.terms():
+            where = (graph.total_genus(), graph.external_labels(), graph.codimension())
+            if not graph.is_connected() or where != (g, labels, k):
+                raise ValueError("%r is outside the ambient (g,n,k)=(%d, %d, %d)" % (graph, g, n, k))
+
+    return check
 
 
 def _write_atomic(path: Path, text: str) -> None:

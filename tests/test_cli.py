@@ -50,6 +50,13 @@ def test_enumerate_invalid_exit_2(capsys):
     assert "error" in err
 
 
+def test_enumerate_boundary_only_excludes_kappa(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-g", "0", "-n", "4", "-k", "1", "--boundary-only", "--kappa"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --boundary-only" in capsys.readouterr().err
+
+
 def test_unwritable_out_exit_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -239,6 +246,36 @@ def test_bad_registry_file_exit_2(tmp_path, capsys, command, text, registry_text
     code, _, err = run(capsys, "--registry", str(reg), command, str(f))
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+# an imported (0,5,1) relation with a term of codimension 0, of genus 1
+# (and four labels), or of codimension 2 is bad input, named by its line
+@pytest.mark.parametrize("relation", [
+    "<1 2 3 4 5>_0",
+    "<1 2 3 e0>_0 <4 e0>_1",
+    "<1 2 e0>_0 <3 e0 e1>_0 <4 5 e1>_0 - <1 3 e0>_0 <2 e0 e1>_0 <4 5 e1>_0",
+])
+def test_registry_relation_outside_ambient_exit_2(tmp_path, capsys, relation):
+    reg = tmp_path / "reg"
+    reg.mkdir()
+    (reg / "g0n5k1.gwi").write_text("# provenance: imported\n%s\n" % relation)
+    f = tmp_path / "s.gwi"
+    f.write_text("<1 2 e0>_0 <3 4 5 e0>_0\n")
+    code, out, err = run(capsys, "--registry", str(reg), "reduce", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "g0n5k1.gwi:2: " in err
+    assert "is outside the ambient (g,n,k)=(0, 5, 1)" in err
+
+
+def test_registry_zero_relation_is_dropped(tmp_path, capsys):
+    reg = tmp_path / "reg"
+    reg.mkdir()
+    (reg / "g0n5k1.gwi").write_text("<1 2 e0>_0 <3 4 5 e0>_0 - <1 2 e0>_0 <3 4 5 e0>_0\n")
+    f = tmp_path / "s.gwi"
+    f.write_text("<1 2 e0>_0 <3 4 5 e0>_0\n")
+    expected = run(capsys, "reduce", str(f))
+    assert expected[0] == 0
+    assert run(capsys, "--registry", str(reg), "reduce", str(f)) == expected
 
 
 # (1,4,2) needs imported relations, a genus-2 factor has none at all

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,19 +10,21 @@ from tautrel.graphs import (
     End,
     Leg,
     Vertex,
+    _canonical_order,
     _relabelling_orbit,
     automorphism_count,
     canonicalize,
     dimension,
     is_isomorphic,
     is_valid,
+    sort_key,
     symmetrize,
     total_genus,
     validate,
 )
 from tautrel.gwi import parse_graph
 
-from conftest import random_disconnected_graph, random_stable_graph
+from conftest import random_disconnected_graph, random_stable_graph, small_strata
 
 EX = "<1 2 e0>_0 <3 4 e1>_0 <e0 e1>_1"
 
@@ -148,6 +151,18 @@ def test_canonicalize_vertex_reorder():
     assert is_isomorphic(a, b)
 
 
+def _shuffled(g: DecoratedGraph, rng: random.Random) -> DecoratedGraph:
+    """``g`` with its vertices in a random order."""
+    order = list(range(g.n_vertices))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    return DecoratedGraph(
+        tuple(g.vertices[v] for v in order),
+        tuple(Leg(pos[l.vertex], l.label, l.psi) for l in g.legs),
+        tuple((End(pos[e[0].vertex], e[0].psi), End(pos[e[1].vertex], e[1].psi)) for e in g.edges),
+    )
+
+
 def test_canonicalize_idempotent_on_random_graphs():
     rng = random.Random(7)
     for _ in range(60):
@@ -155,17 +170,26 @@ def test_canonicalize_idempotent_on_random_graphs():
         c = canonicalize(g)
         assert canonicalize(c) == c
         # shuffle vertices and check the orbit collapses
-        order = list(range(g.n_vertices))
-        rng.shuffle(order)
-        pos = {v: i for i, v in enumerate(order)}
-        shuffled = DecoratedGraph(
-            tuple(g.vertices[v] for v in order),
-            tuple(Leg(pos[l.vertex], l.label, l.psi) for l in g.legs),
-            tuple((End(pos[e[0].vertex], e[0].psi), End(pos[e[1].vertex], e[1].psi)) for e in g.edges),
-        )
+        shuffled = _shuffled(g, rng)
         assert canonicalize(shuffled) == c
         assert dimension(shuffled) == dimension(g)
         assert automorphism_count(shuffled) == automorphism_count(g)
+
+
+def test_canonical_search_golden():
+    # the raw search, the orbit keys (all labels merged, and all but the
+    # smallest) and the sort keys of 750 graphs and their vertex
+    # shuffles: every canonical form and output order rests on these
+    rng = random.Random(16)
+    corpus = small_strata() + [random_stable_graph(rng) for _ in range(100)]
+    corpus += [random_disconnected_graph(rng) for _ in range(50)]
+    digest = hashlib.sha256()
+    for g in corpus + [_shuffled(g, rng) for g in corpus]:
+        labels = g.external_labels()
+        orbits = _relabelling_orbit(g, labels), _relabelling_orbit(g, labels[1:])
+        digest.update(repr((_canonical_order(g), orbits, sort_key(g))).encode())
+    assert len(corpus) == 750
+    assert digest.hexdigest() == "f926b4e96e033b18110e9b677fa0701658293bc7f78d92abe3171439e793826c"
 
 
 def _brute_force_automorphisms(g: DecoratedGraph) -> int:

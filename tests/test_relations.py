@@ -342,22 +342,51 @@ def _top_coordinate(registry, graph):
     return coeff
 
 
-def test_genus0_psi_integrals(registry):
+def _compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    return [p for p in itertools.product(range(total + 1), repeat=parts) if sum(p) == total]
+
+
+def _check_genus0_psi_integrals(registry, n):
+    # <tau_a1 ... tau_an>_0 = (n-3)! / prod a_i! for every composition of n - 3
     from math import factorial
 
-    for n, powers in [
-        (4, (1, 0, 0, 0)),
-        (5, (2, 0, 0, 0, 0)),
-        (5, (1, 1, 0, 0, 0)),
-        (6, (3, 0, 0, 0, 0, 0)),
-        (6, (2, 1, 0, 0, 0, 0)),
-        (6, (1, 1, 1, 0, 0, 0)),
-    ]:
+    for powers in _compositions(n - 3, n):
         expected = Fraction(factorial(n - 3))
         for p in powers:
             expected /= factorial(p)
         got = _top_coordinate(registry, _psi_monomial(0, powers))
         assert got == expected, (n, powers, got, expected)
+
+
+def test_genus0_psi_integrals(registry):
+    # 4 + 15 + 56 monomials
+    for n in (4, 5, 6):
+        _check_genus0_psi_integrals(registry, n)
+
+
+@pytest.mark.slow
+def test_genus0_psi_integrals_n7(registry):
+    # 210 monomials, about 7 s
+    _check_genus0_psi_integrals(registry, 7)
+
+
+def _genus1_psi_integral(powers):
+    """<tau_a1 ... tau_an>_1 with sum a_i = n, by the string equation
+    while some a_i is 0 and the dilaton equation once all are 1, down
+    to <tau_1>_1 = 1/24."""
+    if powers == (1,):
+        return Fraction(1, 24)
+    if 0 in powers:
+        rest = list(powers)
+        rest.remove(0)
+        return sum(
+            (_genus1_psi_integral(tuple(rest[:j] + [a - 1] + rest[j + 1:]))
+             for j, a in enumerate(rest) if a > 0),
+            Fraction(0),
+        )
+    # dilaton: <tau_1 X>_1 = (2*1 - 2 + |X|) <X>_1
+    return (len(powers) - 1) * _genus1_psi_integral(powers[1:])
 
 
 def test_genus1_psi_integrals(registry):
@@ -372,6 +401,12 @@ def test_genus1_psi_integrals(registry):
     for powers, expected in cases:
         got = _top_coordinate(registry, _psi_monomial(1, powers))
         assert got == expected, (powers, got, expected)
+    # every composition for n <= 3: 1 + 3 + 10 monomials
+    for n in (1, 2, 3):
+        for powers in _compositions(n, n):
+            expected = _genus1_psi_integral(powers)
+            got = _top_coordinate(registry, _psi_monomial(1, powers))
+            assert got == expected, (powers, got, expected)
 
 
 # -- registry ----------------------------------------------------------------
@@ -446,9 +481,12 @@ def test_genus0_basis_sizes_are_betti_numbers(registry, n):
         assert len(registry.relation_basis(0, n, k).basis) == b, (n, k)
 
 
-@pytest.mark.parametrize("n,betti", [(1, [1, 1]), (2, [1, 2, 1]), (3, [1, 5, 5, 1])])
+@pytest.mark.parametrize("n,betti", [(1, [1, 1]), (2, [1, 2, 1]), (3, [1, 5, 5, 1])] + [
+    (n, [1, 2 ** n - n]) for n in (4, 5, 6)
+])
 def test_genus1_basis_sizes_are_betti_numbers(registry, n, betti):
-    # Getzler's Poincare polynomials of M_{1,n} for n <= 3
+    # Getzler's Poincare polynomials of M_{1,n} for n <= 3; for n = 4..6
+    # b_0 and b_2 = 2^n - n only
     for k, b in enumerate(betti):
         assert len(registry.relation_basis(1, n, k).basis) == b, (n, k)
 

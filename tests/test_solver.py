@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tautrel import solver
-from tautrel.graphs import _relabelling_orbit, symmetrize
+from tautrel.graphs import DecoratedGraph, _relabelling_orbit, symmetrize
 from tautrel.gwi import format_sum, parse_graph, parse_sum
 from tautrel.operators import apply_r
 from tautrel.relations import InductiveDataMissing, RelationRegistry
@@ -471,6 +471,24 @@ def test_symmetrized_find_searches_each_class_once(registry):
     classes = sum(len(c.terms()) for c in report.classes)
     assert info.misses == classes == 281
     assert info.hits == 2 * classes
+
+
+@pytest.mark.parametrize("ambient, classes", [((0, 6, 2), 281), ((1, 4, 2), 106)])
+def test_orbit_key_builds_no_graph_with_repeated_labels(monkeypatch, ambient, classes):
+    # the orbit key merges labels inside the search; no merged graph is built
+    built = []
+    post_init = DecoratedGraph.__post_init__
+
+    def counting(self):
+        post_init(self)
+        labels = [l.label for l in self.legs]
+        built.append(len(set(labels)) < len(labels))
+
+    monkeypatch.setattr(DecoratedGraph, "__post_init__", counting)
+    _relabelling_orbit.cache_clear()
+    find_equations(*ambient, RelationRegistry(), decorations="psi")
+    assert _relabelling_orbit.cache_info().misses == classes
+    assert built and sum(built) == 0
 
 
 def test_find_072_golden():
