@@ -2,18 +2,20 @@
 
 Grammar (whitespace between tokens is free except inside numbers):
 
-    sum      := term (("+"|"-") term)*
+    sum      := "0" | term (("+"|"-") term)*
     term     := [rational "*"] ["c" nat "*"] graph
     graph    := bracket+
     bracket  := "<" item (" " item)* ">" "_" nat ["[" kappas "]"]
     item     := name ["^" nat]          # nat = psi power, default 0
     name     := nat | "e" nat           # external label | internal (paired)
     kappas   := "k" nat ("," "k" nat)*
-    rational := ["-"] nat ["/" nat]
+    rational := ["-"] nat ["/" nat]     # a nonzero denominator
 
 ``<1 2 e0>_0 <3 4 e1>_0 <e0 e1>_1`` is a three-vertex graph: two
 rational tails carrying the marked points joined to an elliptic
-bridge.  A ``c<i>`` factor marks a symbolic unknown coefficient.
+bridge.  A ``c<i>`` factor marks a symbolic unknown coefficient, and
+``0`` is the empty sum.  Internal names pair by their text, so ``e01``
+and ``e1`` are two names.
 """
 
 from __future__ import annotations
@@ -29,174 +31,88 @@ class GwiParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(e\d+|k\d+|c\d+|\d+|[<>_^\[\],*+/-])")
+# The grammar has no nesting, so each production is one pattern,
+# matched where the previous one ended.  A digit run never stops
+# before a digit, so "12" is one label rather than "1" "2".
+_HEAD = re.compile(r"\s*(?:(-?)\s*(\d+)(?:\s*/\s*(\d+))?\s*\*)?\s*(?:c(\d+)\s*\*)?")
+_BRACKET = re.compile(
+    r"\s*<((?:\s*e?\d+(?!\d)(?:\s*\^\s*\d+(?!\d))?)*)\s*>"
+    r"\s*_\s*(\d+)(?:\s*\[\s*(k\d+(?:\s*,\s*k\d+)*)\s*\])?"
+)
+_ITEM = re.compile(r"\s*(e?\d+)(?:\s*\^\s*(\d+))?")
+_SEP = re.compile(r"\s*([+-])")
 
 
-def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise GwiParseError("bad character at %r" % text[pos : pos + 10])
-            break
-        out.append(m.group(1))
+def _graph(text: str, pos: int) -> tuple[DecoratedGraph, int]:
+    """The graph whose brackets start at ``pos``, and where it ends."""
+    verts, legs, internal = [], [], {}
+    while m := _BRACKET.match(text, pos):
+        items, genus, kappas = m.groups()
+        v = len(verts)
+        verts.append(Vertex(int(genus), tuple(int(a) for a in re.findall(r"\d+", kappas or ""))))
+        for item in _ITEM.finditer(items):
+            name, psi = item.group(1), int(item.group(2) or 0)
+            if name[0] == "e":
+                internal.setdefault(name, []).append(End(v, psi))
+            else:
+                legs.append(Leg(v, int(name), psi))
         pos = m.end()
-    return out
+    if not verts:
+        raise GwiParseError("expected '<' opening a bracket <items>_genus at %r" % text[pos:].strip()[:20])
+    labels = [l.label for l in legs]
+    if len(set(labels)) != len(labels):
+        raise GwiParseError("repeated external label in %s" % sorted(labels))
+    for name, ends in internal.items():
+        if len(ends) != 2:
+            raise GwiParseError("internal name %s occurs %d times (want 2)" % (name, len(ends)))
+    return DecoratedGraph(tuple(verts), tuple(legs), tuple(internal.values())), pos
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
-        self.i = 0
+def _end(text: str, pos: int) -> None:
+    if text[pos:].strip():
+        raise GwiParseError("cannot parse the text from %r" % text[pos:].strip()[:20])
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise GwiParseError("unexpected end of input")
-        self.i += 1
-        return t
-
-    def expect(self, tok: str):
-        t = self.next()
-        if t != tok:
-            raise GwiParseError("expected %r, got %r" % (tok, t))
-
-    def nat(self) -> int:
-        t = self.next()
-        if not t.isdigit():
-            raise GwiParseError("expected number, got %r" % t)
-        return int(t)
-
-    def rational(self) -> Fraction:
-        neg = False
-        if self.peek() == "-":
-            self.next()
-            neg = True
-        num = self.nat()
-        den = 1
-        if self.peek() == "/":
-            self.next()
-            den = self.nat()
-        r = Fraction(num, den)
-        return -r if neg else r
-
-    def graph(self) -> DecoratedGraph:
-        verts: list[Vertex] = []
-        legs: list[Leg] = []
-        # internal name -> list of (vertex, psi)
-        internal: dict[str, list[tuple[int, int]]] = {}
-        while self.peek() == "<":
-            self.next()
-            v = len(verts)
-            genus = None
-            items = []
-            while self.peek() != ">":
-                name = self.next()
-                psi = 0
-                if self.peek() == "^":
-                    self.next()
-                    psi = self.nat()
-                items.append((name, psi))
-            self.expect(">")
-            self.expect("_")
-            genus = self.nat()
-            kappa: list[int] = []
-            if self.peek() == "[":
-                self.next()
-                while True:
-                    t = self.next()
-                    if not (t.startswith("k") and t[1:].isdigit()):
-                        raise GwiParseError("expected k<nat>, got %r" % t)
-                    kappa.append(int(t[1:]))
-                    if self.peek() == ",":
-                        self.next()
-                        continue
-                    break
-                self.expect("]")
-            verts.append(Vertex(genus, tuple(kappa)))
-            for name, psi in items:
-                if name.isdigit():
-                    legs.append(Leg(v, int(name), psi))
-                elif name.startswith("e") and name[1:].isdigit():
-                    internal.setdefault(name, []).append((v, psi))
-                else:
-                    raise GwiParseError("bad half-edge name %r" % name)
-        if not verts:
-            raise GwiParseError("expected '<'")
-        labels = [l.label for l in legs]
-        if len(set(labels)) != len(labels):
-            raise GwiParseError("repeated external label in %s" % sorted(labels))
-        edges = []
-        for name, ends in sorted(internal.items()):
-            if len(ends) != 2:
-                raise GwiParseError(
-                    "internal name %s occurs %d times (want 2)" % (name, len(ends))
-                )
-            (v1, p1), (v2, p2) = ends
-            edges.append((End(v1, p1), End(v2, p2)))
-        return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
-
-    def term(self):
-        coeff = Fraction(1)
-        unknown = None
-        t = self.peek()
-        if t is not None and (t == "-" or t.isdigit()):
-            save = self.i
-            try:
-                coeff = self.rational()
-                self.expect("*")
-            except GwiParseError:
-                self.i = save
-                coeff = Fraction(1)
-        t = self.peek()
-        if t is not None and t.startswith("c") and t[1:].isdigit():
-            unknown = int(self.next()[1:])
-            self.expect("*")
-        return coeff, unknown, self.graph()
-
-    def sum(self):
-        terms = [self.term()]
-        while self.peek() in ("+", "-"):
-            sign = self.next()
-            coeff, unknown, graph = self.term()
-            if sign == "-":
-                coeff = -coeff
-            terms.append((coeff, unknown, graph))
-        if self.peek() is not None:
-            raise GwiParseError("trailing tokens from %r" % self.peek())
-        return terms
+def _terms(text: str) -> list[tuple[Fraction, int | None, DecoratedGraph]]:
+    """The (coefficient, unknown or None, graph) terms of a sum."""
+    if text.strip() == "0":
+        return []
+    terms, pos, sign = [], 0, 1
+    while True:
+        head = _HEAD.match(text, pos)
+        neg, num, den, unknown = head.groups()
+        coeff = Fraction(sign)
+        if num is not None:
+            if den is not None and not int(den):
+                raise GwiParseError("zero denominator in %r" % head.group().strip())
+            coeff *= Fraction(int(neg + num), int(den or 1))
+        graph, pos = _graph(text, head.end())
+        terms.append((coeff, None if unknown is None else int(unknown), graph))
+        sep = _SEP.match(text, pos)
+        if sep is None:
+            _end(text, pos)
+            return terms
+        sign, pos = (-1 if sep.group(1) == "-" else 1), sep.end()
 
 
 def parse_graph(text: str) -> DecoratedGraph:
-    p = _Parser(_tokenize(text))
-    g = p.graph()
-    if p.peek() is not None:
-        raise GwiParseError("trailing tokens from %r" % p.peek())
-    return g
+    graph, pos = _graph(text, 0)
+    _end(text, pos)
+    return graph
 
 
 def parse_sum(text: str) -> FormalSum:
-    terms = _Parser(_tokenize(text)).sum()
-    out = []
-    for coeff, unknown, graph in terms:
-        if unknown is not None:
-            raise GwiParseError("symbolic coefficient in a plain sum")
-        out.append((graph, coeff))
-    return FormalSum(out)
+    terms = _terms(text)
+    if any(unknown is not None for _, unknown, _ in terms):
+        raise GwiParseError("symbolic coefficient in a plain sum")
+    return FormalSum([(graph, coeff) for coeff, _, graph in terms])
 
 
 def parse_symbolic(text: str) -> SymbolicSum:
-    terms = _Parser(_tokenize(text)).sum()
-    out = []
-    for coeff, unknown, graph in terms:
-        if unknown is None:
-            raise GwiParseError("missing c<n> factor in symbolic sum")
-        out.append((graph, LinForm({unknown: coeff})))
-    return SymbolicSum(out)
+    terms = _terms(text)
+    if any(unknown is None for _, unknown, _ in terms):
+        raise GwiParseError("missing c<n> factor in symbolic sum")
+    return SymbolicSum([(graph, LinForm({unknown: coeff})) for coeff, unknown, graph in terms])
 
 
 def read_file(path, check=None) -> tuple[list[str], list[FormalSum]]:

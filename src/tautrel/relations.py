@@ -262,6 +262,8 @@ def wdvv_relations(host: DecoratedGraph, vertex: int) -> list[FormalSum]:
 
 def induce_by_gluing(rel, a: int, b: int):
     """Glue external points a and b of every term into a node."""
+    if a == b:
+        raise ValueError("cannot glue point %d to itself" % a)
     cls = type(rel)
     out = []
     for graph, coeff in rel.terms():
@@ -729,13 +731,14 @@ def _generate_wdvv(g: int, n: int, k: int) -> list[FormalSum]:
 
 def _ambient_check(g: int, n: int, k: int):
     """A ``read_file`` check refusing a relation with a term that is not
-    a connected graph of total genus g, labels 1..n and codimension k."""
+    a valid connected graph of total genus g, labels 1..n and
+    codimension k."""
     labels = tuple(range(1, n + 1))
 
     def check(rel: FormalSum) -> None:
         for graph, _ in rel.terms():
             where = (graph.total_genus(), graph.external_labels(), graph.codimension())
-            if not graph.is_connected() or where != (g, labels, k):
+            if not (is_valid(graph) and graph.is_connected()) or where != (g, labels, k):
                 raise ValueError("%r is outside the ambient (g,n,k)=(%d, %d, %d)" % (graph, g, n, k))
 
     return check

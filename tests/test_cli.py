@@ -254,6 +254,7 @@ def test_bad_registry_file_exit_2(tmp_path, capsys, command, text, registry_text
     "<1 2 3 4 5>_0",
     "<1 2 3 e0>_0 <4 e0>_1",
     "<1 2 e0>_0 <3 e0 e1>_0 <4 5 e1>_0 - <1 3 e0>_0 <2 e0 e1>_0 <4 5 e1>_0",
+    "<1 e0>_0 <e0 2 3 4 5>_0",  # an unstable two-valent vertex
 ])
 def test_registry_relation_outside_ambient_exit_2(tmp_path, capsys, relation):
     reg = tmp_path / "reg"
@@ -265,6 +266,36 @@ def test_registry_relation_outside_ambient_exit_2(tmp_path, capsys, relation):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "g0n5k1.gwi:2: " in err
     assert "is outside the ambient (g,n,k)=(0, 5, 1)" in err
+
+
+# a zero denominator is bad input, in the file read and in a registry
+# file (check reads (0,4,1) for the image of a (0,5,1) divisor)
+DIVISOR = "<1 2 e0>_0 <3 4 5 e0>_0"
+
+
+@pytest.mark.parametrize("command, registry_files, text, where", [
+    ("check", {}, "1/0*" + DIVISOR, "s.gwi:1: "),
+    ("reduce", {}, "1/0*" + DIVISOR, "s.gwi:1: "),
+    ("check", {"g0n4k1.gwi": "1/0*<1 2 e0>_0 <3 4 e0>_0"}, DIVISOR, "g0n4k1.gwi:2: "),
+    ("reduce", {"g0n5k1.gwi": "1/0*" + DIVISOR}, DIVISOR, "g0n5k1.gwi:2: "),
+])
+def test_zero_denominator_exit_2(tmp_path, capsys, command, registry_files, text, where):
+    reg = tmp_path / "reg"
+    reg.mkdir()
+    for name, line in registry_files.items():
+        (reg / name).write_text("# provenance: imported\n%s\n" % line)
+    f = tmp_path / "s.gwi"
+    f.write_text(text + "\n")
+    code, out, err = run(capsys, "--registry", str(reg), command, str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and where + "zero denominator" in err
+
+
+def test_check_zero_sum_is_vacuous(tmp_path, capsys):
+    f = tmp_path / "zero.gwi"
+    f.write_text("0\n")
+    code, out, _ = run(capsys, "check", str(f))
+    assert (code, out) == (0, "EMPTY (zero sum is vacuously invariant)\n")
 
 
 def test_registry_zero_relation_is_dropped(tmp_path, capsys):

@@ -255,6 +255,13 @@ def test_glue_missing_label():
         induce_by_gluing(rel, 1, 9)
 
 
+def test_glue_point_to_itself_rejected():
+    # one half-edge cannot close a loop on its own
+    rel = _fs("<1 2 3 4>_0")
+    with pytest.raises(ValueError, match="cannot glue point 1 to itself"):
+        induce_by_gluing(rel, 1, 1)
+
+
 def test_glue_genus_one_equation_terms_validate(registry):
     from tautrel.data_files import genus1_four_point_equation
 
