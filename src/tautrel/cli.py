@@ -140,6 +140,9 @@ def _load_sum(path: str):
 def cmd_check(args) -> int:
     registry = _registry(args)
     fs = _load_sum(args.file)
+    for graph, _ in fs.terms():
+        if not graph.is_connected():
+            raise ValueError("%s is not connected; check takes connected classes" % format_graph(graph))
     if fs.is_zero():
         print("EMPTY (zero sum is vacuously invariant)")
         return EXIT_OK

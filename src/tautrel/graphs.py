@@ -114,17 +114,11 @@ class DecoratedGraph:
         return len(self.vertices)
 
     def legs_at(self, v: int) -> list[Leg]:
-        return [l for l in self.legs if l.vertex == v]
+        return [self.legs[k] for (kind, k), _ in _slots(self)[v] if kind == "leg"]
 
     def ends_at(self, v: int) -> list[tuple[int, int]]:
         """Indices ``(edge, side)`` of all edge ends at vertex v."""
-        out = []
-        for i, e in enumerate(self.edges):
-            if e[0].vertex == v:
-                out.append((i, 0))
-            if e[1].vertex == v:
-                out.append((i, 1))
-        return out
+        return [i for (kind, i), _ in _slots(self)[v] if kind == "end"]
 
     def valence(self, v: int) -> int:
         return _valences_and_dimensions(self)[0][v]
@@ -191,21 +185,11 @@ class DecoratedGraph:
     ) -> "DecoratedGraph":
         """Restriction to a union of connected components, with the
         external labels in ``mapping`` renamed as in :meth:`relabel`."""
-        rename = (mapping or {}).get
-        vs = sorted(vertex_set)
-        pos = {v: i for i, v in enumerate(vs)}
-        for e in self.edges:
-            if (e[0].vertex in pos) != (e[1].vertex in pos):
+        vs = set(vertex_set)
+        for a, b in self.edges:
+            if (a.vertex in vs) != (b.vertex in vs):
                 raise ValueError("vertex set cuts an edge; not a component union")
-        return DecoratedGraph(
-            tuple(self.vertices[v] for v in vs),
-            tuple(Leg(pos[l.vertex], rename(l.label, l.label), l.psi) for l in self.legs if l.vertex in pos),
-            tuple(
-                (End(pos[e[0].vertex], e[0].psi), End(pos[e[1].vertex], e[1].psi))
-                for e in self.edges
-                if e[0].vertex in pos
-            ),
-        )
+        return _renumber(self, sorted(vs), mapping)
 
     def normalised_components(self) -> list[tuple[tuple[int, ...], "DecoratedGraph"]]:
         """(external labels, canonical component) per connected
@@ -222,10 +206,7 @@ class DecoratedGraph:
 
     def relabel(self, mapping: Mapping[int, int]) -> "DecoratedGraph":
         """Rename external labels; labels not in the mapping stay put."""
-        legs = tuple(
-            Leg(l.vertex, mapping.get(l.label, l.label), l.psi) for l in self.legs
-        )
-        return DecoratedGraph(self.vertices, legs, self.edges)
+        return _renumber(self, range(self.n_vertices), mapping)
 
     def __repr__(self) -> str:
         from .gwi import format_graph
@@ -234,6 +215,19 @@ class DecoratedGraph:
 
     def is_stable_vertex(self, v: int) -> bool:
         return 2 * self.vertices[v].genus - 2 + self.valence(v) > 0
+
+
+def _renumber(g: DecoratedGraph, order: Sequence[int], rename: Mapping[int, int] | None = None):
+    """The graph on the vertices ``order`` of ``g``, vertex ``order[i]``
+    becoming vertex i, with the external labels in ``rename`` renamed;
+    legs and edges off those vertices are dropped."""
+    rename = (rename or {}).get
+    pos = {v: i for i, v in enumerate(order)}
+    return DecoratedGraph(
+        tuple(g.vertices[v] for v in order),
+        tuple(Leg(pos[l.vertex], rename(l.label, l.label), l.psi) for l in g.legs if l.vertex in pos),
+        tuple((End(pos[a.vertex], a.psi), End(pos[b.vertex], b.psi)) for a, b in g.edges if a.vertex in pos),
+    )
 
 
 def disjoint_union(graphs: Iterable[DecoratedGraph]) -> DecoratedGraph:
@@ -271,15 +265,15 @@ def _valences_and_dimensions(g: DecoratedGraph) -> tuple[list[int], list[int]]:
 # reference pairs in that order.
 
 
-def _slots_at(g: DecoratedGraph, v: int) -> list[tuple[tuple, int]]:
-    """The slots at vertex v with their psi powers, legs first."""
-    out = [(("leg", k), l.psi) for k, l in enumerate(g.legs) if l.vertex == v]
-    out += [
-        (("end", (i, side)), end.psi)
-        for i, e in enumerate(g.edges)
-        for side, end in enumerate(e)
-        if end.vertex == v
-    ]
+def _slots(g: DecoratedGraph) -> list[list[tuple[tuple, int]]]:
+    """Every vertex's slots with their psi powers, from one pass over
+    the half-edges: legs first, then ends in (edge, side) order."""
+    out = [[] for _ in g.vertices]
+    for k, l in enumerate(g.legs):
+        out[l.vertex].append((("leg", k), l.psi))
+    for i, e in enumerate(g.edges):
+        for side, end in enumerate(e):
+            out[end.vertex].append((("end", (i, side)), end.psi))
     return out
 
 
@@ -312,7 +306,7 @@ def _side_assignments(g: DecoratedGraph, v: int, side0=(), side1=()):
     on their side, the free slots in ``itertools.product`` order, as
     (move, slots per side, psi sum per side); ``move`` sends the
     side-1 slots to a new vertex appended at index ``g.n_vertices``."""
-    slots, nb = _slots_at(g, v), g.n_vertices
+    slots, nb = _slots(g)[v], g.n_vertices
     total = sum(p for _, p in slots)
     choices = [(0,) if s in side0 else (1,) if s in side1 else (0, 1) for s, _ in slots]
     out = []
@@ -500,27 +494,17 @@ def canonicalize(g: DecoratedGraph) -> DecoratedGraph:
     Idempotent; two graphs are isomorphic iff their canonical forms
     are equal (as Python objects).
     """
-    _, order, _ = _canonical_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    return DecoratedGraph(
-        tuple(g.vertices[v] for v in order),
-        tuple(Leg(pos[l.vertex], l.label, l.psi) for l in g.legs),
-        tuple(
-            (End(pos[e[0].vertex], e[0].psi), End(pos[e[1].vertex], e[1].psi))
-            for e in g.edges
-        ),
-    )
+    return _renumber(g, _canonical_order(g)[1])
 
 
 @lru_cache(maxsize=None)
-def _relabelling_orbit(g: DecoratedGraph, points: tuple[int, ...] | None = None):
+def _relabelling_orbit(g: DecoratedGraph, points: tuple[int, ...]):
     """(orbit key, slot labels) of ``g`` under permuting the sorted labels
-    ``points`` (default: all): the canonical encoding with them merged
-    into the smallest, and the leg labels by (canonical vertex position,
-    psi, label).  With all labels merged, graphs with equal keys differ by
+    ``points``: the canonical encoding with them merged into the
+    smallest, and the leg labels by (canonical vertex position, psi,
+    label).  With all labels merged, graphs with equal keys differ by
     the renaming pairing their slot labels position by position.  Memoised:
     the orbit partition and the coordinate engine share each search."""
-    points = g.external_labels() if points is None else points
     enc, order, _ = _canonical_order(g, {p: points[0] for p in points})
     pos = {v: i for i, v in enumerate(order)}
     return enc, tuple(l.label for l in sorted(g.legs, key=lambda l: (pos[l.vertex], l.psi, l.label)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .graphs import DecoratedGraph, End, Leg, Vertex, canonicalize
+from .graphs import DecoratedGraph, End, Leg, Vertex, _slots, canonicalize
 from .sums import FormalSum, LinForm, SymbolicSum
 
 
@@ -148,13 +148,9 @@ def format_graph(g: DecoratedGraph) -> str:
     """Deterministic gwi string; canonicalises first."""
     g = canonicalize(g)
     parts = []
-    for v in range(g.n_vertices):
-        items = []
-        for l in sorted(g.legs_at(v), key=lambda l: l.label):
-            items.append(_item(str(l.label), l.psi))
-        for i, side in g.ends_at(v):
-            items.append(_item("e%d" % i, g.edges[i][side].psi))
-        vert = g.vertices[v]
+    for vert, slots in zip(g.vertices, _slots(g)):
+        # legs are stored sorted, so each vertex lists them by label
+        items = [_item(str(g.legs[k].label) if kind == "leg" else "e%d" % k[0], psi) for (kind, k), psi in slots]
         text = "<%s>_%d" % (" ".join(items), vert.genus)
         if vert.kappa:
             text += "[%s]" % ",".join("k%d" % a for a in vert.kappa)

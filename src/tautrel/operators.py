@@ -39,7 +39,7 @@ from .graphs import (
     _valences_and_dimensions,
     is_valid,
 )
-from .sums import FormalSum, SymbolicSum
+from .sums import FormalSum
 
 HALF = Fraction(1, 2)
 

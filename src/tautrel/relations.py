@@ -65,7 +65,7 @@ from .graphs import (
     _rewire,
     _side_assignments,
     _side_ok,
-    _slots_at,
+    _slots,
     automorphism_count,
     canonicalize,
     disjoint_union,
@@ -131,7 +131,7 @@ def _genus0_step(g: DecoratedGraph, v: int, ref, opposite=None) -> list[tuple[De
     the four-point relations, which is tested rather than assumed.
     """
     if opposite is None:
-        opposite = sorted(s for s, _ in _slots_at(g, v) if s != ref)[:2]
+        opposite = sorted(s for s, _ in _slots(g)[v] if s != ref)[:2]
     return [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), (ref,), opposite, ref)]
 
 
@@ -153,9 +153,9 @@ def _genus1_step(g: DecoratedGraph, v: int, ref) -> list[tuple[DecoratedGraph, F
 def _first_psi_slot(g: DecoratedGraph, genus: int):
     """(vertex, slot) of the first psi-decorated slot on a vertex of
     the given genus, or None."""
-    for v, vert in enumerate(g.vertices):
+    for v, (vert, slots) in enumerate(zip(g.vertices, _slots(g))):
         if vert.genus == genus:
-            for slot, p in sorted(_slots_at(g, v)):
+            for slot, p in sorted(slots):
                 if p > 0:
                     return v, slot
     return None
@@ -163,8 +163,8 @@ def _first_psi_slot(g: DecoratedGraph, genus: int):
 
 def _refuse_psi_above_genus_one(g: DecoratedGraph):
     """Refuse psi on a genus >= 2 vertex, naming its component's ambient."""
-    for v, vert in enumerate(g.vertices):
-        if vert.genus >= 2 and any(p > 0 for _, p in _slots_at(g, v)):
+    for v, (vert, slots) in enumerate(zip(g.vertices, _slots(g))):
+        if vert.genus >= 2 and any(p > 0 for _, p in slots):
             sub = g.subgraph(next(c for c in g.components() if v in c))
             amb = (sub.total_genus(), len(sub.legs), sub.codimension())
             raise InductiveDataMissing(amb, "psi on a genus-%d vertex" % vert.genus)
@@ -243,7 +243,7 @@ def wdvv_relations(host: DecoratedGraph, vertex: int) -> list[FormalSum]:
     """
     if host.vertices[vertex].genus != 0:
         raise ValueError("marked vertex must have genus 0")
-    refs = sorted(s for s, _ in _slots_at(host, vertex))
+    refs = sorted(s for s, _ in _slots(host)[vertex])
     if len(refs) < 4:
         raise ValueError("marked vertex must have valence >= 4")
     out = []
@@ -309,8 +309,8 @@ def induce_by_forgetful(rel, new_label: int | None = None):
         # the bubble: a new genus-0 vertex carrying the slot and the new point
         nb = graph.n_vertices
         bubble = graph.vertices + (Vertex(0),)
-        for v in range(graph.n_vertices):
-            for slot, p in _slots_at(graph, v):
+        for v, slots in enumerate(_slots(graph)):
+            for slot, p in slots:
                 if p < 1:
                     continue
                 node = ((End(v, p - 1), End(nb, 0)),)

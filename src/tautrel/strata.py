@@ -28,7 +28,7 @@ from .graphs import (
     _rewire,
     _side_assignments,
     _side_ok,
-    _slots_at,
+    _slots,
     _valences_and_dimensions,
     canonicalize,
     sort_key,
@@ -76,7 +76,7 @@ def _vertex_decorations(graph: DecoratedGraph, budget: int, with_kappa: bool):
     and kappa over its vertices, total degree == budget, keeping every
     vertex factor nonnegative: a vertex takes at most its dimension,
     less its kappa degree, in psi."""
-    slots = [[s for s, _ in _slots_at(graph, v)] for v in range(graph.n_vertices)]
+    slots = [[s for s, _ in at] for at in _slots(graph)]
     dims = _valences_and_dimensions(graph)[1]
     monomials = [tuple(p) for d in range(budget + 1) for p in _partitions(d)] if with_kappa else [()]
     out = []

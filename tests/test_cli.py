@@ -161,6 +161,19 @@ def test_check_inhomogeneous_exit_2(tmp_path, capsys, text):
     assert "vacuously" not in out
 
 
+@pytest.mark.parametrize("text", [
+    "<1 2 3>_0 <4 5 6>_0",  # total genus -1 by the closed form
+    "<1 e0 e0>_1 <2 3 4>_0",  # read as if on (1,4,1)
+])
+def test_check_refuses_disconnected_term_exit_2(tmp_path, capsys, text):
+    f = tmp_path / "product.gwi"
+    f.write_text(text + "\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2
+    assert "not connected" in err and format_sum(parse_sum(text)) in err
+    assert "l=" not in out and "vacuously" not in out
+
+
 def test_reduce_trivial_combination_prints_zero(tmp_path, capsys):
     # the known-trivial direction of the four-point genus-1 ambient
     reps = {

@@ -313,7 +313,7 @@ def test_relabelling_orbit_pairs_slots(seed, connected, data):
     labels = g.external_labels()
     perm = data.draw(st.permutations(labels))
     rep, member = canonicalize(g), canonicalize(g.relabel(dict(zip(labels, perm))))
-    (key, rep_slots), (member_key, member_slots) = map(_relabelling_orbit, (rep, member))
+    (key, rep_slots), (member_key, member_slots) = (_relabelling_orbit(x, labels) for x in (rep, member))
     assert key == member_key
     sigma = dict(zip(rep_slots, member_slots))
     assert canonicalize(rep.relabel(sigma)) == member
@@ -329,3 +329,11 @@ def test_normalised_components_match_subgraphs():
             labels = sub.external_labels()
             expected.append((labels, canonicalize(sub.relabel({a: i + 1 for i, a in enumerate(labels)}))))
         assert g.normalised_components() == expected
+
+
+def test_subgraph_refuses_a_cut_edge_and_legs_need_their_vertex():
+    g = parse_graph("<1 2 e0>_0 <3 4 e0>_0")
+    with pytest.raises(ValueError, match="cuts an edge"):
+        g.subgraph([0])
+    with pytest.raises(ValueError, match="missing vertex"):
+        DecoratedGraph((Vertex(0),), (Leg(1, 1), Leg(0, 2), Leg(0, 3)))

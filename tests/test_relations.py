@@ -19,7 +19,7 @@ from tautrel.graphs import (
     End,
     Leg,
     _kappa_splits,
-    _slots_at,
+    _slots,
     canonicalize,
     is_valid,
     symmetrize,
@@ -76,7 +76,7 @@ def test_rewrite_leaves_psi_free_input_alone():
 def test_reference_choice_immaterial_modulo_relations(registry):
     # rewrite psi_1 on a 5-point vertex against two reference pairs
     g = parse_graph("<1^1 2 3 4 5>_0")
-    refs = [r for r, _ in _slots_at(g, 0)]
+    refs = [r for r, _ in _slots(g)[0]]
     slot = [r for r in refs if g.legs[r[1]].label == 1][0]
     others = sorted(r for r in refs if r != slot)
     out_a = FormalSum(_genus0_step(g, 0, slot, opposite=(others[0], others[1])))
@@ -121,7 +121,7 @@ def _linked_split_reference(g, v, genera, k1, k2, side_of, dec):
 def _linked_splits_unpruned(g, v, genera, side0, side1, dec=None):
     """Reference: every linked split honouring the pinned slots built,
     then filtered with is_valid."""
-    slots = [s for s, _ in _slots_at(g, v)]
+    slots = [s for s, _ in _slots(g)[v]]
     out = []
     for sides in itertools.product((0, 1), repeat=len(slots)):
         side_of = dict(zip(slots, sides))
@@ -142,9 +142,9 @@ def test_linked_splits_match_reference():
     for _ in range(120):
         g = random_stable_graph(rng)
         for v, vert in enumerate(g.vertices):
-            slots = sorted(s for s, _ in _slots_at(g, v))
+            slots = sorted(s for s, _ in _slots(g)[v])
             cases = [((), (), None), (slots[:2], slots[2:4], None)]
-            for ref in sorted(s for s, p in _slots_at(g, v) if p > 0)[:2]:
+            for ref in sorted(s for s, p in _slots(g)[v] if p > 0)[:2]:
                 others = [s for s in slots if s != ref]
                 cases += [((ref,), others[:2], ref), ((ref,), (), ref)]
             for side0, side1, dec in cases:
@@ -185,7 +185,7 @@ def test_recursion_no_psi_on_genus_one_left():
     for g, _ in out.terms():
         for v in range(g.n_vertices):
             if g.vertices[v].genus >= 1:
-                for _, psi in _slots_at(g, v):
+                for _, psi in _slots(g)[v]:
                     assert psi == 0
 
 

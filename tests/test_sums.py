@@ -114,3 +114,35 @@ def test_linform_arithmetic():
     assert (f * Fraction(2)).coeffs == {1: Fraction(1), 2: Fraction(-2)}
     assert f.evaluate({1: Fraction(4), 2: Fraction(1)}) == Fraction(1)
     assert str(LinForm({1: Fraction(-1), 3: Fraction(2, 3)})) == "-c1 + 2/3*c3"
+
+
+def test_sums_and_forms_are_immutable_and_hash_by_value():
+    g1, g2 = parse_graph("<1 2 3>_0"), parse_graph("<1 2 e0>_0 <3 e0>_1")
+    a = SymbolicSum([(g1, LinForm({1: 1})), (g2, LinForm({2: Fraction(1, 2)}))])
+    b = SymbolicSum([(g2, LinForm({2: Fraction(1, 2)})), (g1, LinForm({1: Fraction(1)}))])
+    assert a == b and hash(a) == hash(b)
+    assert LinForm({1: 1}) == LinForm({1: Fraction(1)})
+    assert hash(LinForm({1: 1})) == hash(LinForm({1: Fraction(1)}))
+    for value in (LinForm({1: 1}), FormalSum.single(g1), a):
+        for name in ("coeffs", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, {})
+
+
+def test_mixed_sums_and_coefficients_raise_type_error():
+    g = parse_graph("<1 2 3>_0")
+    fs, ss = FormalSum.single(g), SymbolicSum([(g, LinForm.unknown(1))])
+    for x, y in ((fs, ss), (ss, fs)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+    with pytest.raises(TypeError):
+        FormalSum([(g, LinForm.unknown(1))])
+    with pytest.raises(TypeError):
+        SymbolicSum([(g, Fraction(1))])
+
+
+def test_zero_linform_prints_zero():
+    assert str(LinForm()) == str(LinForm(None)) == "0"
+    assert LinForm() == LinForm(None) == LinForm({1: 0})
