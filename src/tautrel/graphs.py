@@ -113,9 +113,6 @@ class DecoratedGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def legs_at(self, v: int) -> list[Leg]:
-        return [self.legs[k] for (kind, k), _ in _slots(self)[v] if kind == "leg"]
-
     def ends_at(self, v: int) -> list[tuple[int, int]]:
         """Indices ``(edge, side)`` of all edge ends at vertex v."""
         return [i for (kind, i), _ in _slots(self)[v] if kind == "end"]
@@ -300,13 +297,12 @@ def _rewire(g: DecoratedGraph, vertices, move=None, psi=None, legs=(), edges=())
     )
 
 
-def _side_assignments(g: DecoratedGraph, v: int, side0=(), side1=()):
-    """The one enumerator of vertex splits: every assignment of the
-    slots at vertex v to sides 0 and 1 keeping ``side0`` and ``side1``
-    on their side, the free slots in ``itertools.product`` order, as
-    (move, slots per side, psi sum per side); ``move`` sends the
-    side-1 slots to a new vertex appended at index ``g.n_vertices``."""
-    slots, nb = _slots(g)[v], g.n_vertices
+def _side_assignments(slots, nb: int, side0=(), side1=()):
+    """The one enumerator of vertex splits: every assignment of one
+    vertex's ``slots`` (its entry of :func:`_slots`) to sides 0 and 1
+    keeping ``side0`` and ``side1`` on their side, the free slots in
+    ``itertools.product`` order, as (move, slots per side, psi sum per
+    side); ``move`` sends the side-1 slots to the new vertex ``nb``."""
     total = sum(p for _, p in slots)
     choices = [(0,) if s in side0 else (1,) if s in side1 else (0, 1) for s, _ in slots]
     out = []

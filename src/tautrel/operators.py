@@ -36,6 +36,7 @@ from .graphs import (
     _rewire,
     _side_assignments,
     _side_ok,
+    _slots,
     _valences_and_dimensions,
     is_valid,
 )
@@ -127,8 +128,8 @@ def split_vertices(g: DecoratedGraph, l: int, i: int, j: int) -> FormalSum:
     _check_labels(g, i, j)
     nb = g.n_vertices  # index of the side-1 vertex
     terms = []
-    for v, vert in enumerate(g.vertices):
-        assignments = _side_assignments(g, v)
+    for v, (vert, slots) in enumerate(zip(g.vertices, _slots(g))):
+        assignments = _side_assignments(slots, nb)
         kappas = list(_kappa_splits(vert.kappa))
         for m in range(l):
             coeff = HALF * (-1) ** (m + 1)

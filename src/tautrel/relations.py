@@ -92,9 +92,9 @@ class InductiveDataMissing(RuntimeError):
 # vertex splitting shared by the rewrites and the four-point relations
 
 
-def _linked_splits(g: DecoratedGraph, v: int, genera, side0, side1, dec=None):
-    """The valid splittings of vertex v into two vertices of the given
-    genera joined by a new edge.
+def _linked_splits(g: DecoratedGraph, v: int, slots, genera, side0, side1, dec=None):
+    """The valid splittings of vertex v, whose ``_slots`` entry is
+    ``slots``, into two vertices of the given genera joined by a new edge.
 
     ``_side_assignments`` keeps the ``side0`` slots at v and moves the
     ``side1`` slots to the new vertex, the others going either way;
@@ -105,7 +105,7 @@ def _linked_splits(g: DecoratedGraph, v: int, genera, side0, side1, dec=None):
     psi = {} if dec is None else {dec: -1}
     link = ((End(v, 0), End(nb, 0)),)
     out = []
-    for move, count, _ in _side_assignments(g, v, side0, side1):
+    for move, count, _ in _side_assignments(slots, nb, side0, side1):
         # each half keeps its slots plus one end of the new edge
         if _side_ok(genera[0], count[0] + 1) and _side_ok(genera[1], count[1] + 1):
             for k1, k2 in _kappa_splits(g.vertices[v].kappa):
@@ -120,8 +120,9 @@ def _linked_splits(g: DecoratedGraph, v: int, genera, side0, side1, dec=None):
 # topological recursion rewrites
 
 
-def _genus0_step(g: DecoratedGraph, v: int, ref, opposite=None) -> list[tuple[DecoratedGraph, Fraction]]:
-    """One psi elimination at slot ``ref`` of the genus-0 vertex v.
+def _genus0_step(g: DecoratedGraph, v: int, slots, ref, opposite=None) -> list[tuple[DecoratedGraph, Fraction]]:
+    """One psi elimination at slot ``ref`` of the genus-0 vertex v,
+    whose ``_slots`` entry is ``slots``.
 
     With reference slots b, c (by default the two smallest other
     special points on the vertex) the psi class at the slot equals the
@@ -131,12 +132,13 @@ def _genus0_step(g: DecoratedGraph, v: int, ref, opposite=None) -> list[tuple[De
     the four-point relations, which is tested rather than assumed.
     """
     if opposite is None:
-        opposite = sorted(s for s, _ in _slots(g)[v] if s != ref)[:2]
-    return [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), (ref,), opposite, ref)]
+        opposite = sorted(s for s, _ in slots if s != ref)[:2]
+    return [(cand, Fraction(1)) for cand in _linked_splits(g, v, slots, (0, 0), (ref,), opposite, ref)]
 
 
-def _genus1_step(g: DecoratedGraph, v: int, ref) -> list[tuple[DecoratedGraph, Fraction]]:
-    """One psi elimination at slot ``ref`` of the genus-1 vertex v.
+def _genus1_step(g: DecoratedGraph, v: int, slots, ref) -> list[tuple[DecoratedGraph, Fraction]]:
+    """One psi elimination at slot ``ref`` of the genus-1 vertex v,
+    whose ``_slots`` entry is ``slots``.
 
     The class splits into 1/24 times the nonseparating degeneration
     (genus drops, a loop appears) plus all separating splittings that
@@ -147,27 +149,31 @@ def _genus1_step(g: DecoratedGraph, v: int, ref) -> list[tuple[DecoratedGraph, F
     verts = g.vertices[:v] + (Vertex(vert.genus - 1, vert.kappa),) + g.vertices[v + 1 :]
     loop = _rewire(g, verts, psi={ref: -1}, edges=((End(v, 0), End(v, 0)),))
     out = [(loop, Fraction(1, 24))] if is_valid(loop) else []
-    return out + [(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 1), (ref,), (), ref)]
+    return out + [(cand, Fraction(1)) for cand in _linked_splits(g, v, slots, (0, 1), (ref,), (), ref)]
 
 
-def _first_psi_slot(g: DecoratedGraph, genus: int):
-    """(vertex, slot) of the first psi-decorated slot on a vertex of
-    the given genus, or None."""
+def _psi_slots(g: DecoratedGraph) -> dict:
+    """Vertex genus -> (vertex, its slots, its smallest psi-decorated
+    slot) for the first vertex of each genus that carries psi, from one
+    ``_slots`` pass; the genera come in vertex order."""
+    hits = {}
     for v, (vert, slots) in enumerate(zip(g.vertices, _slots(g))):
-        if vert.genus == genus:
-            for slot, p in sorted(slots):
-                if p > 0:
-                    return v, slot
-    return None
+        psi = [s for s, p in slots if p > 0]
+        if psi and vert.genus not in hits:
+            hits[vert.genus] = (v, slots, min(psi))
+    return hits
 
 
-def _refuse_psi_above_genus_one(g: DecoratedGraph):
-    """Refuse psi on a genus >= 2 vertex, naming its component's ambient."""
-    for v, (vert, slots) in enumerate(zip(g.vertices, _slots(g))):
-        if vert.genus >= 2 and any(p > 0 for _, p in slots):
+def _refuse_psi_above_genus_one(g: DecoratedGraph) -> dict:
+    """Refuse psi on a genus >= 2 vertex, naming its component's
+    ambient; otherwise the graph's ``_psi_slots``."""
+    hits = _psi_slots(g)
+    for genus, (v, _, _) in hits.items():
+        if genus >= 2:
             sub = g.subgraph(next(c for c in g.components() if v in c))
             amb = (sub.total_genus(), len(sub.legs), sub.codimension())
-            raise InductiveDataMissing(amb, "psi on a genus-%d vertex" % vert.genus)
+            raise InductiveDataMissing(amb, "psi on a genus-%d vertex" % genus)
+    return hits
 
 
 @lru_cache(maxsize=None)
@@ -179,15 +185,12 @@ def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, Fractio
     Raises InductiveDataMissing on a psi power carried by a vertex of
     genus >= 2.
     """
-    _refuse_psi_above_genus_one(g)
-    hit = _first_psi_slot(g, 1)
-    step = _genus1_step if hit is not None else _genus0_step
-    if hit is None:
-        hit = _first_psi_slot(g, 0)
-    if hit is None:
+    hits = _refuse_psi_above_genus_one(g)
+    if not hits:
         return ((canonicalize(g), Fraction(1)),)
+    genus = max(hits)  # 1 when a genus-1 vertex carries psi, else 0
     acc: dict[DecoratedGraph, Fraction] = {}
-    for piece, frac in step(g, *hit):
+    for piece, frac in (_genus0_step, _genus1_step)[genus](g, *hits[genus]):
         for final, sub in psi_free_expansion(canonicalize(piece)):
             acc[final] = acc.get(final, Fraction(0)) + frac * sub
     return tuple(sorted(((k, c) for k, c in acc.items() if c), key=lambda t: sort_key(t[0])))
@@ -215,7 +218,7 @@ def _expand_psi_terms(e, genus: int):
     genus replaced by its psi-free expansion."""
     out = []
     for graph, coeff in e.terms():
-        if _first_psi_slot(graph, genus) is None:
+        if genus not in _psi_slots(graph):
             out.append((graph, coeff))
             continue
         for piece, frac in psi_free_expansion(graph):
@@ -232,7 +235,7 @@ def wdvv_expand(g: DecoratedGraph, v: int, pair_a, pair_b) -> FormalSum:
     vertex: the sum of all splittings with pair_a on one half and
     pair_b on the other, remaining slots and kappa factors distributed
     in all ways."""
-    return FormalSum([(cand, Fraction(1)) for cand in _linked_splits(g, v, (0, 0), pair_a, pair_b)])
+    return FormalSum([(cand, Fraction(1)) for cand in _linked_splits(g, v, _slots(g)[v], (0, 0), pair_a, pair_b)])
 
 
 def wdvv_relations(host: DecoratedGraph, vertex: int) -> list[FormalSum]:
@@ -768,9 +771,7 @@ def _source_digest():
 
 
 def _relation_fingerprint(rel: FormalSum):
-    terms = rel.terms()
-    lead = terms[0][1]
-    return tuple((sort_key(g), c / lead) for g, c in terms)
+    return rel.scale(1 / rel.terms()[0][1])
 
 
 def to_automorphism_convention(e):

@@ -81,9 +81,7 @@ class LinearSystem:
     def add_row(self, form: LinForm, provenance: str = ""):
         if not form:
             return
-        items = sorted(form.coeffs.items())
-        lead = items[0][1]
-        key = tuple((i, c / lead) for i, c in items)
+        key = form * (1 / form.coeffs[min(form.coeffs)])
         if key in self._seen:
             return
         self._seen.add(key)
@@ -200,10 +198,6 @@ def filter_trivial(
         trivial_vecs.append(vec)
 
     out = [EquationCandidate(_normalize_vector(v), E, trivial=True) for v in trivial_vecs]
-    if len(trivial_vecs) == len(solutions):
-        # every solution lies in the trivial span
-        return out
-
     # candidates: solutions reduced against the trivial span, kept only
     # while they grow the joint rank.  A reduced row is zero on the
     # trivial pivots, so it lies in the joint span iff it lies in the

@@ -38,14 +38,14 @@ from .graphs import (
 def _one_edge_degenerations(g: DecoratedGraph):
     """One-edge degenerations of the stable graph g; only a split's halves can be unstable."""
     out = []
-    for v, vert in enumerate(g.vertices):
+    for v, (vert, slots) in enumerate(zip(g.vertices, _slots(g))):
         before, after = g.vertices[:v], g.vertices[v + 1 :]
         # non-separating: genus drops, loop appears
         if vert.genus >= 1:
             verts = before + (Vertex(vert.genus - 1, vert.kappa),) + after
             out.append(DecoratedGraph(verts, g.legs, g.edges + ((End(v, 0), End(v, 0)),)))
         # separating: split the vertex, join the halves by an edge
-        assignments = _side_assignments(g, v)
+        assignments = _side_assignments(slots, g.n_vertices)
         for g1 in range(vert.genus + 1):
             g2 = vert.genus - g1
             verts = before + (Vertex(g1, vert.kappa),) + after + (Vertex(g2),)

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,3 +20,28 @@ def test_module_uses_every_name_it_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _references(tree):
+    """Every name a tree reads, as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_function_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _references(tree))
+    unused = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+        # references inside the function's own body do not count
+        and uses[node.name] == Counter(_references(node))[node.name]
+    ]
+    assert unused == []

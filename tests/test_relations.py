@@ -79,8 +79,8 @@ def test_reference_choice_immaterial_modulo_relations(registry):
     refs = [r for r, _ in _slots(g)[0]]
     slot = [r for r in refs if g.legs[r[1]].label == 1][0]
     others = sorted(r for r in refs if r != slot)
-    out_a = FormalSum(_genus0_step(g, 0, slot, opposite=(others[0], others[1])))
-    out_b = FormalSum(_genus0_step(g, 0, slot, opposite=(others[2], others[3])))
+    out_a = FormalSum(_genus0_step(g, 0, _slots(g)[0], slot, opposite=(others[0], others[1])))
+    out_b = FormalSum(_genus0_step(g, 0, _slots(g)[0], slot, opposite=(others[2], others[3])))
     assert out_a != out_b
     assert registry.normal_form(out_a - out_b).is_zero()
 
@@ -150,7 +150,7 @@ def test_linked_splits_match_reference():
             for side0, side1, dec in cases:
                 for g1 in range(vert.genus + 1):
                     genera = (g1, vert.genus - g1)
-                    got = FormalSum([(c, Fraction(1)) for c in _linked_splits(g, v, genera, side0, side1, dec)])
+                    got = FormalSum([(c, Fraction(1)) for c in _linked_splits(g, v, _slots(g)[v], genera, side0, side1, dec)])
                     assert got == _linked_splits_unpruned(g, v, genera, side0, side1, dec), (g, v, genera, side0, side1, dec)
                     if not got.is_zero():
                         seen.add((vert.genus, dec is None, dec is not None and dec[0]))
@@ -187,6 +187,46 @@ def test_recursion_no_psi_on_genus_one_left():
             if g.vertices[v].genus >= 1:
                 for _, psi in _slots(g)[v]:
                     assert psi == 0
+
+
+# -- psi above genus one -----------------------------------------------------
+
+
+@pytest.mark.parametrize("text, ambient", [
+    ("<1^1 2 e0>_0 <e0^1>_2", (2, 2, 3)),
+    ("<1 e0^1>_2 <2 e1^1>_3 <e0 e1 3>_0", (5, 3, 4)),
+])
+def test_psi_free_expansion_refuses_psi_above_genus_one(text, ambient):
+    # the refusal names the component of the first such vertex in vertex order
+    with pytest.raises(InductiveDataMissing) as err:
+        psi_free_expansion(parse_graph(text))
+    assert str(err.value).endswith("(g,n,k)=%s: psi on a genus-2 vertex" % (ambient,))
+
+
+@pytest.mark.parametrize("text", ["<1 2^1>_2 <3 4^1>_3", "<3 4^1>_3 <1 2^1>_2", "<1 2^1>_3 <3 4^1>_2"])
+def test_normal_coords_refusal_independent_of_vertex_order(registry, text):
+    with pytest.raises(InductiveDataMissing) as err:
+        registry.normal_coords([(parse_graph(text), Fraction(1))])
+    assert str(err.value).endswith("(g,n,k)=(2, 2, 1): psi on a genus-2 vertex")
+
+
+def test_trr_rewrites_leave_terms_without_psi_of_their_genus():
+    # a rewrite expands, and so refuses, only a term with psi on its own genus
+    only_genus_two = _single("<1 2 e0>_0 <e0^1>_2")
+    assert genus0_trr_rewrite(only_genus_two) == only_genus_two
+    assert genus1_trr_rewrite(only_genus_two) == only_genus_two
+    for rewrite, text in ((genus0_trr_rewrite, "<1^1 2 e0>_0 <e0^1>_2"), (genus1_trr_rewrite, "<1^1 2 e0>_1 <e0^1>_2")):
+        with pytest.raises(InductiveDataMissing):
+            rewrite(_single(text))
+    assert genus1_trr_rewrite(_single("<1^1 2 e0>_0 <e0^1>_2")) == _single("<1^1 2 e0>_0 <e0^1>_2")
+
+
+def test_psi_free_expansion_reads_slots_once_per_miss(monkeypatch):
+    calls = []
+    monkeypatch.setattr(relations_module, "_slots", lambda g: calls.append(g) or _slots(g))
+    psi_free_expansion.cache_clear()
+    psi_free_expansion(canonicalize(parse_graph("<1^1 2 3 e0>_0 <4^2 e0>_1")))
+    assert len(calls) == psi_free_expansion.cache_info().misses > 2
 
 
 # -- four-point relations ----------------------------------------------------
