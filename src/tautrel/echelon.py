@@ -1,9 +1,15 @@
 """Exact incremental reduced row echelon form of sparse rows.
 
 A row is a mapping {column: coefficient}; columns are any sortable
-keys and coefficients are exact (``Fraction``).  The reduced row
-echelon form of a row space is unique, so the stored rows do not
-depend on the order in which rows were added.
+keys and coefficients are exact rationals, ``int`` when integral,
+``Fraction`` otherwise.  ``reduce`` turns each integral coefficient
+of an incoming row into its numerator once, and ``add`` divides a
+row by its pivot only when the pivot is not 1 or -1, so integral rows
+are reduced in int arithmetic; an integral value may stay a
+``Fraction`` once a non-integral one has entered its row.
+``nullspace`` returns ``Fraction`` entries.  The reduced row echelon
+form of a row space is unique, so the stored rows do not depend on
+the order in which rows were added.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ class Echelon:
     def reduce(self, row) -> dict:
         """The remainder of ``row`` modulo the span: a new dict with no
         pivot column.  It is empty iff ``row`` lies in the span."""
-        out = {c: x for c, x in row.items() if x}
+        out = {c: x.numerator if x.denominator == 1 else x for c, x in row.items() if x}
         # a pivot row holds no other pivot column, so one pass suffices
         for col in [c for c in out if c in self._rows]:
             _subtract(out, out[col], self._rows[col])
@@ -44,8 +50,10 @@ class Echelon:
         if not row:
             return False
         col = min(row)
-        inv = Fraction(1) / row[col]
-        row = {c: x * inv for c, x in row.items()}
+        pivot = row[col]
+        if pivot != 1:
+            inv = -1 if pivot == -1 else Fraction(1) / pivot
+            row = {c: x * inv for c, x in row.items()}
         for prow in self._rows.values():
             if col in prow:
                 _subtract(prow, prow[col], row)
@@ -69,7 +77,7 @@ class Echelon:
             vec = [Fraction(0)] * ncols
             vec[f] = Fraction(1)
             for col, row in self._rows.items():
-                vec[col] = -row.get(f, Fraction(0))
+                vec[col] = -Fraction(row.get(f, 0))
             out.append(tuple(vec))
         return out
 

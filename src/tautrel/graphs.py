@@ -68,6 +68,10 @@ class Vertex:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", tuple(sorted(self.kappa)))
+        object.__setattr__(self, "_hash", hash((self.genus, self.kappa)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def kappa_degree(self) -> int:
@@ -81,6 +85,7 @@ class DecoratedGraph:
     The constructor normalises the representation (sorted kappa
     multisets, legs sorted by label, edge ends and edges sorted) but
     does not canonicalise the vertex order; see :func:`canonicalize`.
+    Its hash is computed once, at construction.
     """
 
     vertices: tuple[Vertex, ...]
@@ -91,14 +96,17 @@ class DecoratedGraph:
         verts = tuple(
             v if isinstance(v, Vertex) else Vertex(*v) for v in self.vertices
         )
-        legs = tuple(sorted(Leg(*l) for l in self.legs))
+        legs = tuple(sorted(l if isinstance(l, Leg) else Leg(*l) for l in self.legs))
         edges = []
-        for e in self.edges:
-            a, b = End(*e[0]), End(*e[1])
+        for a, b in self.edges:
+            a = a if isinstance(a, End) else End(*a)
+            b = b if isinstance(b, End) else End(*b)
             edges.append((a, b) if a <= b else (b, a))
+        edges = tuple(sorted(edges))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_hash", hash((verts, legs, edges)))
         for l in self.legs:
             if not (0 <= l.vertex < len(verts)):
                 raise ValueError("leg attached to missing vertex %r" % (l,))
@@ -106,6 +114,9 @@ class DecoratedGraph:
             for end in e:
                 if not (0 <= end.vertex < len(verts)):
                     raise ValueError("edge end on missing vertex %r" % (e,))
+
+    def __hash__(self):
+        return self._hash
 
     # -- basic structure ------------------------------------------------
 
@@ -242,15 +253,19 @@ def disjoint_union(graphs: Iterable[DecoratedGraph]) -> DecoratedGraph:
     return DecoratedGraph(tuple(verts), tuple(legs), tuple(edges))
 
 
-def _valences_and_dimensions(g: DecoratedGraph) -> tuple[list[int], list[int]]:
+def _valences_and_dimensions(g: DecoratedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Valence and decorated dimension of every vertex, from one pass
-    over the half-edges."""
-    valence = [0] * g.n_vertices
-    dims = [3 * v.genus - 3 - v.kappa_degree for v in g.vertices]
-    for v, psi in [(l.vertex, l.psi) for l in g.legs] + [end for e in g.edges for end in e]:
-        valence[v] += 1
-        dims[v] += 1 - psi
-    return valence, dims
+    over the half-edges, made once per graph object and kept on it."""
+    shape = g.__dict__.get("_shape")
+    if shape is None:
+        valence = [0] * g.n_vertices
+        dims = [3 * v.genus - 3 - v.kappa_degree for v in g.vertices]
+        for v, psi in [(l.vertex, l.psi) for l in g.legs] + [end for e in g.edges for end in e]:
+            valence[v] += 1
+            dims[v] += 1 - psi
+        shape = (tuple(valence), tuple(dims))
+        object.__setattr__(g, "_shape", shape)
+    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +498,24 @@ def _canonical_order(g: DecoratedGraph, rename: Mapping[int, int] | None = None)
     return tuple(best)
 
 
+# every canonical form made so far, keyed by itself: a graph equal to
+# one is canonical, so it needs no search and gets that same object
+_CANONICAL: dict[DecoratedGraph, DecoratedGraph] = {}
+
+
 @lru_cache(maxsize=None)
 def canonicalize(g: DecoratedGraph) -> DecoratedGraph:
     """Canonical representative of the isomorphism class of ``g``.
 
     Idempotent; two graphs are isomorphic iff their canonical forms
-    are equal (as Python objects).
+    are equal (as Python objects).  Equal canonical forms are one
+    object, so dictionary hits on them compare by identity.
     """
-    return _renumber(g, _canonical_order(g)[1])
+    c = _CANONICAL.get(g)
+    if c is None:
+        c = _renumber(g, _canonical_order(g)[1])
+        c = _CANONICAL.setdefault(c, c)
+    return c
 
 
 @lru_cache(maxsize=None)

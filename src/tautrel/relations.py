@@ -120,7 +120,7 @@ def _linked_splits(g: DecoratedGraph, v: int, slots, genera, side0, side1, dec=N
 # topological recursion rewrites
 
 
-def _genus0_step(g: DecoratedGraph, v: int, slots, ref, opposite=None) -> list[tuple[DecoratedGraph, Fraction]]:
+def _genus0_step(g: DecoratedGraph, v: int, slots, ref, opposite=None) -> list[tuple[DecoratedGraph, int]]:
     """One psi elimination at slot ``ref`` of the genus-0 vertex v,
     whose ``_slots`` entry is ``slots``.
 
@@ -133,10 +133,10 @@ def _genus0_step(g: DecoratedGraph, v: int, slots, ref, opposite=None) -> list[t
     """
     if opposite is None:
         opposite = sorted(s for s, _ in slots if s != ref)[:2]
-    return [(cand, Fraction(1)) for cand in _linked_splits(g, v, slots, (0, 0), (ref,), opposite, ref)]
+    return [(cand, 1) for cand in _linked_splits(g, v, slots, (0, 0), (ref,), opposite, ref)]
 
 
-def _genus1_step(g: DecoratedGraph, v: int, slots, ref) -> list[tuple[DecoratedGraph, Fraction]]:
+def _genus1_step(g: DecoratedGraph, v: int, slots, ref) -> list[tuple[DecoratedGraph, int | Fraction]]:
     """One psi elimination at slot ``ref`` of the genus-1 vertex v,
     whose ``_slots`` entry is ``slots``.
 
@@ -149,7 +149,7 @@ def _genus1_step(g: DecoratedGraph, v: int, slots, ref) -> list[tuple[DecoratedG
     verts = g.vertices[:v] + (Vertex(vert.genus - 1, vert.kappa),) + g.vertices[v + 1 :]
     loop = _rewire(g, verts, psi={ref: -1}, edges=((End(v, 0), End(v, 0)),))
     out = [(loop, Fraction(1, 24))] if is_valid(loop) else []
-    return out + [(cand, Fraction(1)) for cand in _linked_splits(g, v, slots, (0, 1), (ref,), (), ref)]
+    return out + [(cand, 1) for cand in _linked_splits(g, v, slots, (0, 1), (ref,), (), ref)]
 
 
 def _psi_slots(g: DecoratedGraph) -> dict:
@@ -177,8 +177,11 @@ def _refuse_psi_above_genus_one(g: DecoratedGraph) -> dict:
 
 
 @lru_cache(maxsize=None)
-def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, Fraction], ...]:
-    """Rewrite a valid graph into psi-free boundary classes.
+def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, int | Fraction], ...]:
+    """Rewrite a valid graph into psi-free boundary classes, as
+    (canonical graph, coefficient) pairs in sort_key order; a
+    coefficient is an int when integral and a Fraction otherwise (the
+    genus-1 loop terms carry 1/24).
 
     Genus-1 slots are eliminated before genus-0 slots (the genus-1
     step creates genus-0 descendants, never the other way round).
@@ -187,13 +190,14 @@ def psi_free_expansion(g: DecoratedGraph) -> tuple[tuple[DecoratedGraph, Fractio
     """
     hits = _refuse_psi_above_genus_one(g)
     if not hits:
-        return ((canonicalize(g), Fraction(1)),)
+        return ((canonicalize(g), 1),)
     genus = max(hits)  # 1 when a genus-1 vertex carries psi, else 0
-    acc: dict[DecoratedGraph, Fraction] = {}
+    acc: dict[DecoratedGraph, int | Fraction] = {}
     for piece, frac in (_genus0_step, _genus1_step)[genus](g, *hits[genus]):
         for final, sub in psi_free_expansion(canonicalize(piece)):
-            acc[final] = acc.get(final, Fraction(0)) + frac * sub
-    return tuple(sorted(((k, c) for k, c in acc.items() if c), key=lambda t: sort_key(t[0])))
+            acc[final] = acc.get(final, 0) + frac * sub
+    terms = ((k, c.numerator if c.denominator == 1 else c) for k, c in acc.items() if c)
+    return tuple(sorted(terms, key=lambda t: sort_key(t[0])))
 
 
 def genus0_trr_rewrite(e):
@@ -235,7 +239,12 @@ def wdvv_expand(g: DecoratedGraph, v: int, pair_a, pair_b) -> FormalSum:
     vertex: the sum of all splittings with pair_a on one half and
     pair_b on the other, remaining slots and kappa factors distributed
     in all ways."""
-    return FormalSum([(cand, Fraction(1)) for cand in _linked_splits(g, v, _slots(g)[v], (0, 0), pair_a, pair_b)])
+    return _separating_sum(g, v, _slots(g)[v], pair_a, pair_b)
+
+
+def _separating_sum(g: DecoratedGraph, v: int, slots, pair_a, pair_b) -> FormalSum:
+    """:func:`wdvv_expand` with vertex v's ``_slots`` entry given."""
+    return FormalSum([(cand, 1) for cand in _linked_splits(g, v, slots, (0, 0), pair_a, pair_b)])
 
 
 def wdvv_relations(host: DecoratedGraph, vertex: int) -> list[FormalSum]:
@@ -246,14 +255,15 @@ def wdvv_relations(host: DecoratedGraph, vertex: int) -> list[FormalSum]:
     """
     if host.vertices[vertex].genus != 0:
         raise ValueError("marked vertex must have genus 0")
-    refs = sorted(s for s, _ in _slots(host)[vertex])
+    slots = _slots(host)[vertex]
+    refs = sorted(s for s, _ in slots)
     if len(refs) < 4:
         raise ValueError("marked vertex must have valence >= 4")
     out = []
     for (a, b, c, d) in itertools.combinations(refs, 4):
-        e1 = wdvv_expand(host, vertex, (a, b), (c, d))
-        e2 = wdvv_expand(host, vertex, (a, c), (b, d))
-        e3 = wdvv_expand(host, vertex, (a, d), (b, c))
+        e1 = _separating_sum(host, vertex, slots, (a, b), (c, d))
+        e2 = _separating_sum(host, vertex, slots, (a, c), (b, d))
+        e3 = _separating_sum(host, vertex, slots, (a, d), (b, c))
         out.append(e1 - e2)
         out.append(e2 - e3)
     return out
@@ -435,10 +445,10 @@ class RelationRegistry:
             # relations found on disk beyond the generated set count as
             # imported inductive data; the file we write back ourselves
             # must not pass for an import
-            known = {_relation_fingerprint(r) for r in generated}
-            extra = [
-                r for r in (loaded or []) if _relation_fingerprint(r) not in known
-            ]
+            extra = []
+            if loaded:
+                known = {_relation_fingerprint(r) for r in generated}
+                extra = [r for r in loaded if _relation_fingerprint(r) not in known]
             self._extra[key] = extra
             self._relations[key] = generated + extra
         return self._relations[key]
@@ -592,7 +602,7 @@ class RelationRegistry:
                 comp = renamed[comp, tau]
             return ordered, comp
 
-        image_of = image or (lambda graph: ((graph, Fraction(1)),))
+        image_of = image or (lambda graph: ((graph, 1),))
         vectors: dict = {}  # coefficient -> summed rational coordinates of its members
         try:
             for members in classes.values():
@@ -690,7 +700,7 @@ class RelationRegistry:
             ambient=(g, n, k),
             classes=table.classes,
             basis=tuple(c for i, c in enumerate(table.classes) if i not in pivots),
-            rref_rows=tuple(tuple(sorted(row.items())) for _, row in rows),
+            rref_rows=tuple(tuple((c, Fraction(x)) for c, x in sorted(row.items())) for _, row in rows),
         )
 
 

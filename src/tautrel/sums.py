@@ -76,7 +76,7 @@ class LinForm(_SparseMap):
 
     @staticmethod
     def _normalise(i, c):
-        return int(i), Fraction(c)
+        return int(i), c if isinstance(c, Fraction) else Fraction(c)
 
     @property
     def coeffs(self) -> Mapping[int, Fraction]:
@@ -125,7 +125,7 @@ class _GraphSum(_SparseMap):
 
     @staticmethod
     def _normalise(graph, c):
-        return canonicalize(graph), c if isinstance(c, LinForm) else Fraction(c)
+        return canonicalize(graph), c if isinstance(c, (Fraction, LinForm)) else Fraction(c)
 
     def terms(self) -> list[tuple[DecoratedGraph, object]]:
         return sorted(self._map.items(), key=lambda t: sort_key(t[0]))

@@ -91,3 +91,25 @@ def test_sortable_keys_as_columns():
     assert echelon.add(rows[0]) and echelon.add(rows[1])
     assert not echelon.add({("b", 1): Fraction(5)})
     assert echelon.rows() == [(("a", 2), {("a", 2): Fraction(1)}), (("b", 1), {("b", 1): Fraction(1)})]
+
+
+def test_integral_rows_stay_int():
+    # pivots 1 and -1 keep integral rows in int arithmetic
+    echelon = Echelon([
+        {0: Fraction(1), 1: Fraction(-2)},
+        {1: Fraction(-1), 2: Fraction(2)},
+        {0: Fraction(1), 2: Fraction(-3), 3: Fraction(5)},
+    ])
+    rows = echelon.rows()
+    assert rows == [(0, {0: 1, 3: 20}), (1, {1: 1, 3: 10}), (2, {2: 1, 3: 5})]
+    assert all(type(x) is int for _, row in rows for x in row.values())
+
+
+def test_pivot_two_stores_fractions_and_nullspace_is_fractions():
+    echelon = Echelon([{0: 2, 1: 1}])
+    ((_, row),) = echelon.rows()
+    assert row == {0: 1, 1: Fraction(1, 2)}
+    assert all(type(x) is Fraction for x in row.values())
+    kernel = Echelon([{0: 1, 1: -1}]).nullspace(3)
+    assert kernel == [(1, 1, 0), (0, 0, 1)]
+    assert all(type(x) is Fraction for v in kernel for x in v)

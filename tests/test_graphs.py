@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import tautrel.graphs as graphs_module
 from tautrel.graphs import (
     DecoratedGraph,
     End,
@@ -12,6 +14,7 @@ from tautrel.graphs import (
     Vertex,
     _canonical_order,
     _relabelling_orbit,
+    _valences_and_dimensions,
     automorphism_count,
     canonicalize,
     dimension,
@@ -337,3 +340,46 @@ def test_subgraph_refuses_a_cut_edge_and_legs_need_their_vertex():
         g.subgraph([0])
     with pytest.raises(ValueError, match="missing vertex"):
         DecoratedGraph((Vertex(0),), (Leg(1, 1), Leg(0, 2), Leg(0, 3)))
+
+
+# -- values a graph computes once ---------------------------------------------
+
+
+def test_equal_graphs_hash_equal_however_built():
+    g = DecoratedGraph(
+        (Vertex(0), Vertex(1, (2, 1))),
+        (Leg(0, 1), Leg(0, 2, 1), Leg(1, 3)),
+        ((End(0, 1), End(1, 0)), (End(1, 0), End(1, 2))),
+    )
+    from_lists = DecoratedGraph(
+        [[0, []], [1, [1, 2]]], [[1, 3, 0], [0, 2, 1], [0, 1, 0]], [[[1, 0], [0, 1]], [[1, 2], [1, 0]]]
+    )
+    # legs unsorted and every edge's ends swapped
+    unsorted = DecoratedGraph(g.vertices, g.legs[::-1], tuple((b, a) for a, b in g.edges))
+    # the fields a registry table file stores, through JSON
+    fields = json.loads(json.dumps([[(v.genus, v.kappa) for v in g.vertices], g.legs, g.edges]))
+    for other in (from_lists, unsorted, DecoratedGraph(*fields)):
+        assert other == g and hash(other) == hash(g)
+    # the hash is the one of the fields, so sets and dicts of graphs keep their order
+    assert hash(g) == hash((g.vertices, g.legs, g.edges))
+    assert Vertex(1, (3, 1, 2)) == Vertex(1, (1, 2, 3))
+    assert hash(Vertex(1, (3, 1, 2))) == hash(Vertex(1, (1, 2, 3))) == hash((1, (1, 2, 3)))
+
+
+def test_canonical_form_needs_no_second_search(monkeypatch):
+    g = parse_graph("<101 e0 e1>_1 <102 103 e0>_0 <e1 104 e2 e2>_0")
+    c = canonicalize(g)
+    assert c != g
+    calls = []
+    monkeypatch.setattr(graphs_module, "_canonical_order", lambda *a: calls.append(a) or _canonical_order(*a))
+    assert canonicalize(c) is c
+    assert canonicalize(DecoratedGraph(c.vertices, c.legs[::-1], c.edges)) is c
+    assert calls == []
+
+
+def test_valences_and_dimensions_are_tuples_made_once():
+    g = parse_graph(EX)
+    shape = _valences_and_dimensions(g)
+    assert shape == ((3, 3, 2), (0, 0, 2))
+    assert type(shape[0]) is tuple and type(shape[1]) is tuple
+    assert _valences_and_dimensions(g) is shape

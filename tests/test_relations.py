@@ -229,6 +229,33 @@ def test_psi_free_expansion_reads_slots_once_per_miss(monkeypatch):
     assert len(calls) == psi_free_expansion.cache_info().misses > 2
 
 
+def test_genus1_expansion_keeps_its_24ths():
+    # coefficients are ints where integral and the loop terms 1/24, with
+    # the values of the Fraction arithmetic they replace
+    expected = {
+        "<1^1 2 3>_1": "<1 2 e0>_0 <3 e0>_1 + <1 2 3 e0>_0 <e0>_1 + 1/24*<1 2 3 e0 e0>_0"
+        " + <1 3 e0>_0 <2 e0>_1",
+        "<1^2 2 3 4>_1": "1/24*<1 2 e0>_0 <3 4 e0 e1 e1>_0 + 1/24*<1 2 3 e0>_0 <4 e0 e1 e1>_0"
+        " + 1/24*<1 2 4 e0>_0 <3 e0 e1 e1>_0 + 1/24*<1 3 e0>_0 <2 4 e0 e1 e1>_0"
+        " + <1 3 e0>_0 <2 4 e0 e1>_0 <e1>_1 + <1 3 e0>_0 <2 e0 e1>_0 <4 e1>_1"
+        " + 1/24*<1 3 4 e0>_0 <2 e0 e1 e1>_0 + <1 3 4 e0>_0 <2 e0 e1>_0 <e1>_1"
+        " + 1/24*<1 4 e0>_0 <2 3 e0 e1 e1>_0 + <1 4 e0>_0 <2 3 e0 e1>_0 <e1>_1"
+        " + <1 4 e0>_0 <2 e0 e1>_0 <3 e1>_1 + <1 4 e0>_0 <3 e0 e1>_0 <2 e1>_1"
+        " + 1/24*<e0 e0 e1>_0 <1 2 3 4 e1>_0",
+    }
+    for text, sum_text in expected.items():
+        expansion = psi_free_expansion(canonicalize(parse_graph(text)))
+        assert dict(expansion) == dict(_fs(sum_text).items())
+        assert {type(c) for _, c in expansion} == {int, Fraction}
+        assert all(c == (1 if type(c) is int else Fraction(1, 24)) for _, c in expansion)
+        assert all(type(c) is Fraction for _, c in FormalSum(expansion).items())
+
+
+def test_psi_free_expansion_without_psi_is_the_int_one():
+    g = canonicalize(parse_graph("<1 2 e0>_0 <3 e0>_1"))
+    assert psi_free_expansion(g) == ((g, 1),) and type(psi_free_expansion(g)[0][1]) is int
+
+
 # -- four-point relations ----------------------------------------------------
 
 
@@ -249,6 +276,25 @@ def test_wdvv_relation_coefficient_sums_vanish(registry):
     for (g, n, k) in [(0, 5, 1), (0, 5, 2), (0, 6, 2), (1, 3, 2)]:
         for rel in registry.relations(g, n, k):
             assert sum(c for _, c in rel.terms()) == 0
+
+
+def test_wdvv_relations_read_slots_once(monkeypatch):
+    host = parse_graph("<1 2 3 4 e0>_0 <5 e0>_1")
+    expected = wdvv_relations(host, 0)
+    calls = []
+    monkeypatch.setattr(relations_module, "_slots", lambda g: calls.append(g) or _slots(g))
+    assert wdvv_relations(host, 0) == expected and len(expected) == 10
+    assert calls == [host]
+
+
+def test_relations_without_a_file_fingerprint_only_to_deduplicate(monkeypatch):
+    calls = []
+    fingerprint = relations_module._relation_fingerprint
+    monkeypatch.setattr(relations_module, "_relation_fingerprint", lambda r: calls.append(r) or fingerprint(r))
+    generated = _generate_wdvv(0, 5, 2)
+    deduplicating = len(calls)
+    assert RelationRegistry().relations(0, 5, 2) == generated
+    assert len(calls) == 2 * deduplicating
 
 
 def test_five_vector_relations(registry):
@@ -463,6 +509,26 @@ def test_relation_basis_m04(registry):
     rb = registry.relation_basis(0, 4, 1)
     assert len(rb.classes) == 3
     assert len(rb.basis) == 1
+
+
+def test_table_echelons_store_ints(tmp_path):
+    # every entry of these tables is integral, built or loaded from its file
+    built, loaded = RelationRegistry(tmp_path), RelationRegistry(tmp_path)
+    for key in [(0, 6, 2), (1, 4, 2)]:
+        tables = [built._table(*key, allow_incomplete=True), loaded._load_table(key, loaded._stamp(key))]
+        for table in tables:
+            entries = [x for _, row in table.echelon.rows() for x in row.values()]
+            assert entries and all(type(x) is int for x in entries)
+
+
+def test_public_values_stay_fractions(registry):
+    rb = registry.relation_basis(0, 6, 2)
+    assert rb.rref_rows and all(type(x) is Fraction for row in rb.rref_rows for _, x in row)
+    nf = registry.normal_form(FormalSum.single(parse_graph("<1^1 2 3 e0>_0 <4 5 6 e0>_0")))
+    assert nf.coords and all(type(x) is Fraction for x in nf.coords.values())
+    report = find_equations(1, 4, 2, registry)
+    assert report.nullspace and all(type(x) is Fraction for v in report.nullspace for x in v)
+    assert report.candidates and all(type(x) is Fraction for c in report.candidates for x in c.vector)
 
 
 def test_relation_basis_m03(registry):
