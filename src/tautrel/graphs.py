@@ -203,9 +203,13 @@ class DecoratedGraph:
         """(external labels, canonical component) per connected
         component in ``components()`` order, the component's labels
         renamed order-preservingly to 1..m in the one graph it builds."""
+        comps = self.components()
         out = []
-        for vs in self.components():
+        for vs in comps:
             labels = tuple(sorted(l.label for l in self.legs if l.vertex in vs))
+            if len(comps) == 1 and labels == tuple(range(1, len(labels) + 1)):
+                out.append((labels, canonicalize(self)))  # already normalised
+                continue
             rank = {a: i + 1 for i, a in enumerate(labels)}
             out.append((labels, canonicalize(self.subgraph(vs, rank))))
         return out
@@ -340,6 +344,37 @@ def _kappa_splits(kappa: tuple[int, ...]):
         left = tuple(a for a, s in zip(kappa, sides) if s == 0)
         right = tuple(a for a, s in zip(kappa, sides) if s == 1)
         yield left, right
+
+
+@lru_cache(maxsize=None)
+def _vertex_splits(g: DecoratedGraph, v: int):
+    """Vertex v's ``_slots`` entry and its split table: every valid
+    separating one-edge degeneration of v, once per unordered split, as
+    (frozenset of the slots kept at v, canonical graph).
+
+    v's first slot stays at v; a vertex with no slots keeps the smaller
+    genus.  The genus and the kappa factors distribute in all ways, as
+    in ``relations._linked_splits``, and unstable halves are skipped
+    unbuilt.  The stable-graph levels and the four-point relations
+    share each table."""
+    slots = _slots(g)[v]
+    vert = g.vertices[v]
+    nb = g.n_vertices
+    before, after = g.vertices[:v], g.vertices[v + 1 :]
+    link = ((End(v, 0), End(nb, 0)),)
+    genera = range(vert.genus + 1 if slots else vert.genus // 2 + 1)
+    out = []
+    for move, count, _ in _side_assignments(slots, nb, [s for s, _ in slots[:1]]):
+        for g1 in genera:
+            g2 = vert.genus - g1
+            # each half keeps its slots plus one end of the new edge
+            if _side_ok(g1, count[0] + 1) and _side_ok(g2, count[1] + 1):
+                kept = frozenset(s for s, _ in slots if s not in move)
+                for k1, k2 in _kappa_splits(vert.kappa):
+                    cand = _rewire(g, before + (Vertex(g1, k1),) + after + (Vertex(g2, k2),), move, edges=link)
+                    if is_valid(cand):
+                        out.append((kept, canonicalize(cand)))
+    return slots, tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +528,12 @@ def _canonical_order(g: DecoratedGraph, rename: Mapping[int, int] | None = None)
             marked = [(c, 0 if u == v else 1) for u, c in enumerate(cols)]
             rec(_refine(_intern(marked), adj))
 
-    initial = [r + (tuple(sorted(lp)), val) for r, lp, val in zip(records, loops, valence)]
-    rec(_refine(_intern(initial), adj))
+    initial = _intern([r + (tuple(sorted(lp)), val) for r, lp, val in zip(records, loops, valence)])
+    if len(set(initial)) == len(initial):
+        # a discrete colouring is already refined: its order is the one leaf
+        order = sorted(range(len(initial)), key=initial.__getitem__)
+        return _encode(records, g.edges, order), order, 1
+    rec(_refine(initial, adj))
     return tuple(best)
 
 

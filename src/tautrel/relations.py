@@ -15,7 +15,9 @@ Two mechanisms cooperate:
   derivatives (hosts ranging over the strata of the ambient); a
   registry directory keeps each ambient's echelon for later processes.
 
-Both boundary expressions come from one splitting kernel.
+The psi rewrites split a vertex with ``_linked_splits``; the
+four-point relations read each host vertex's split table,
+``graphs._vertex_splits``, the one the stable-graph enumeration builds.
 
 A possibly disconnected class decomposes into connected components;
 the basis of a product ambient is the product of the per-factor bases
@@ -29,10 +31,13 @@ reduces the image of a sum under a map that commutes with renaming
 labels (the identity, or an operator r_l): the terms fall into
 relabelling classes by the orbits' memoised key, the map runs on the
 first term of each, and every member renames that image's components by
-the permutation its renaming induces on their labels.  A refusal reduces
-the merged image term by term in sort_key order: the first term lacking
-data refuses, whatever the input order, and a lacking term that cancels
-in the merge does not.
+the permutation its renaming induces on their labels.  The identity
+has no image to lift, so under it every term is its own class.  Each
+class's image coefficients are scaled by their common denominator, so
+the members' coordinates sum as integers and are divided once per
+output coordinate.  A refusal reduces the merged image term by term in
+sort_key order: the first term lacking data refuses, whatever the input
+order, and a lacking term that cancels in the merge does not.
 
 Supported inductive range: genus-0 factors of any size, genus-1
 factors generated completely for at most three special points.  A
@@ -66,6 +71,7 @@ from .graphs import (
     _side_assignments,
     _side_ok,
     _slots,
+    _vertex_splits,
     automorphism_count,
     canonicalize,
     disjoint_union,
@@ -238,34 +244,45 @@ def wdvv_expand(g: DecoratedGraph, v: int, pair_a, pair_b) -> FormalSum:
     """Boundary expression separating pair_a from pair_b at a genus-0
     vertex: the sum of all splittings with pair_a on one half and
     pair_b on the other, remaining slots and kappa factors distributed
-    in all ways."""
-    return _separating_sum(g, v, _slots(g)[v], pair_a, pair_b)
+    in all ways.  The pairs are disjoint slots of v."""
+    if g.vertices[v].genus != 0:
+        raise ValueError("marked vertex must have genus 0")
+    slots, splits = _vertex_splits(g, v)
+    named = tuple(pair_a) + tuple(pair_b)
+    if len(set(named)) != len(named) or not {s for s, _ in slots}.issuperset(named):
+        raise ValueError("pairs must be disjoint slots of vertex %d" % v)
+    return FormalSum([(graph, 1) for graph in _separating(splits, pair_a, pair_b)])
 
 
-def _separating_sum(g: DecoratedGraph, v: int, slots, pair_a, pair_b) -> FormalSum:
-    """:func:`wdvv_expand` with vertex v's ``_slots`` entry given."""
-    return FormalSum([(cand, 1) for cand in _linked_splits(g, v, slots, (0, 0), pair_a, pair_b)])
+def _separating(splits, a, b) -> list[DecoratedGraph]:
+    """The graphs of a ``_vertex_splits`` table that keep the slots
+    ``a`` on one half and ``b`` on the other."""
+    return [
+        graph for kept, graph in splits
+        if kept.issuperset(a) and kept.isdisjoint(b) or kept.issuperset(b) and kept.isdisjoint(a)
+    ]
 
 
 def wdvv_relations(host: DecoratedGraph, vertex: int) -> list[FormalSum]:
     """Relations from one host stratum and one genus-0 vertex.
 
     Each 4-subset of the slots on the vertex contributes the two
-    independent differences of the three 2|2 boundary expressions.
+    independent differences of the three 2|2 boundary expressions,
+    read off the vertex's split table.
     """
     if host.vertices[vertex].genus != 0:
         raise ValueError("marked vertex must have genus 0")
-    slots = _slots(host)[vertex]
+    slots, splits = _vertex_splits(host, vertex)
     refs = sorted(s for s, _ in slots)
     if len(refs) < 4:
         raise ValueError("marked vertex must have valence >= 4")
     out = []
     for (a, b, c, d) in itertools.combinations(refs, 4):
-        e1 = _separating_sum(host, vertex, slots, (a, b), (c, d))
-        e2 = _separating_sum(host, vertex, slots, (a, c), (b, d))
-        e3 = _separating_sum(host, vertex, slots, (a, d), (b, c))
-        out.append(e1 - e2)
-        out.append(e2 - e3)
+        e1 = _separating(splits, (a, b), (c, d))
+        e2 = _separating(splits, (a, c), (b, d))
+        e3 = _separating(splits, (a, d), (b, c))
+        out.append(FormalSum([(t, 1) for t in e1] + [(t, -1) for t in e2]))
+        out.append(FormalSum([(t, 1) for t in e2] + [(t, -1) for t in e3]))
     return out
 
 
@@ -587,7 +604,8 @@ class RelationRegistry:
         with renaming external labels, fixing every label it adds."""
         classes: dict = {}
         for graph, coeff in terms:
-            key, slots = _relabelling_orbit(graph, graph.external_labels())
+            # the identity has nothing to lift: each term is its own class
+            key, slots = (graph, ()) if image is None else _relabelling_orbit(graph, graph.external_labels())
             classes.setdefault(key, []).append((graph, slots, coeff))
         renamed: dict = {}  # (normalised component, permutation) -> normalised component
 
@@ -603,7 +621,9 @@ class RelationRegistry:
             return ordered, comp
 
         image_of = image or (lambda graph: ((graph, 1),))
-        vectors: dict = {}  # coefficient -> summed rational coordinates of its members
+        # (coefficient, denominator) -> summed coordinates of its members,
+        # times the denominator of their class's image
+        vectors: dict = {}
         try:
             for members in classes.values():
                 rep, rep_slots, _ = members[0]
@@ -612,9 +632,12 @@ class RelationRegistry:
                     term = canonicalize(term)
                     _refuse_psi_above_genus_one(term)
                     split.append((term.normalised_components(), c))
+                # scaled to integers, so the members multiply and sum ints
+                d = math.lcm(*(c.denominator for _, c in split))
+                split = [(comps, int(c * d)) for comps, c in split]
                 for _, slots, coeff in members:
                     sigma = dict(zip(rep_slots, slots))
-                    vec = vectors.setdefault(coeff, {})
+                    vec = vectors.setdefault((coeff, d), {})
                     for comps, c in split:
                         lifted = [lift(labels, comp, sigma) for labels, comp in comps]
                         memo = [self._factors.get((comp, allow_incomplete)) for _, comp in lifted]
@@ -636,13 +659,14 @@ class RelationRegistry:
             whole = _GraphSum((t, coeff * c) for graph, coeff in members for t, c in image_of(graph))
             vectors = {}
             for graph, coeff in whole.terms():
-                vec = vectors.setdefault(coeff, {})
+                vec = vectors.setdefault((coeff, 1), {})
                 for key, x in self.normal_coords([(graph, Fraction(1))], allow_incomplete).items():
                     vec[key] = vec.get(key, 0) + x
         out: dict = {}
-        for coeff, vec in vectors.items():
+        for (coeff, d), vec in vectors.items():
             for key, x in vec.items():
-                out[key] = out[key] + coeff * x if key in out else coeff * x
+                x = coeff * Fraction(x, d)
+                out[key] = out[key] + x if key in out else x
         return {k: c for k, c in out.items() if c}
 
     def _component_coords(self, comp: DecoratedGraph, allow_incomplete: bool):

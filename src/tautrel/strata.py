@@ -6,6 +6,10 @@ smooth one-vertex graph: either a vertex splits into two vertices
 joined by a new edge, or a vertex drops one genus and gains a loop.
 Every stratum with E edges arises after E such moves, so a
 breadth-first sweep with canonical deduplication is exhaustive.
+The splits of each vertex come from one table,
+``graphs._vertex_splits``, built once per host vertex with each
+unordered split canonicalised once; the four-point relations on the
+same hosts read the same table.
 
 Decorations (psi powers on half-edges, kappa monomials on vertices)
 are then distributed over the slots so that the total decorated
@@ -26,33 +30,26 @@ from .graphs import (
     Vertex,
     _relabelling_orbit,
     _rewire,
-    _side_assignments,
-    _side_ok,
     _slots,
     _valences_and_dimensions,
+    _vertex_splits,
     canonicalize,
     sort_key,
 )
 
 
 def _one_edge_degenerations(g: DecoratedGraph):
-    """One-edge degenerations of the stable graph g; only a split's halves can be unstable."""
+    """The canonical one-edge degenerations of the stable graph g: at
+    each vertex, the loop when its genus is positive, then the vertex's
+    split table."""
     out = []
-    for v, (vert, slots) in enumerate(zip(g.vertices, _slots(g))):
-        before, after = g.vertices[:v], g.vertices[v + 1 :]
+    for v, vert in enumerate(g.vertices):
         # non-separating: genus drops, loop appears
         if vert.genus >= 1:
-            verts = before + (Vertex(vert.genus - 1, vert.kappa),) + after
-            out.append(DecoratedGraph(verts, g.legs, g.edges + ((End(v, 0), End(v, 0)),)))
+            verts = g.vertices[:v] + (Vertex(vert.genus - 1, vert.kappa),) + g.vertices[v + 1 :]
+            out.append(canonicalize(DecoratedGraph(verts, g.legs, g.edges + ((End(v, 0), End(v, 0)),))))
         # separating: split the vertex, join the halves by an edge
-        assignments = _side_assignments(slots, g.n_vertices)
-        for g1 in range(vert.genus + 1):
-            g2 = vert.genus - g1
-            verts = before + (Vertex(g1, vert.kappa),) + after + (Vertex(g2),)
-            for move, count, _ in assignments:
-                # each half keeps its slots plus one end of the new edge
-                if _side_ok(g1, count[0] + 1) and _side_ok(g2, count[1] + 1):
-                    out.append(_rewire(g, verts, move, edges=((End(v, 0), End(g.n_vertices, 0)),)))
+        out += [split for _, split in _vertex_splits(g, v)[1]]
     return out
 
 
@@ -66,8 +63,7 @@ def stable_graphs(g: int, n: int, num_edges: int) -> tuple[DecoratedGraph, ...]:
         return (canonicalize(DecoratedGraph((Vertex(g),), tuple(Leg(0, a) for a in range(1, n + 1)))),)
     level = set()
     for prev in stable_graphs(g, n, num_edges - 1):
-        for nxt in _one_edge_degenerations(prev):
-            level.add(canonicalize(nxt))
+        level.update(_one_edge_degenerations(prev))
     return tuple(sorted(level, key=sort_key))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from tautrel.graphs import (
     End,
     Leg,
     Vertex,
+    _valences_and_dimensions,
     canonicalize,
     disjoint_union,
     is_valid,
@@ -250,3 +252,85 @@ def _rref(rows: list[dict[int, Fraction]], ncols: int):
         rows = [r for r in rows if r]
     pivots.sort(key=lambda t: t[0])
     return pivots
+
+
+# Reference canonical search: the full refinement-tree search, every
+# leaf visited, without the discrete-colouring exit; test_graphs checks
+# graphs._canonical_order and automorphism_count against it.
+def _reference_records(g, rename=None):
+    rename = (rename or {}).get
+    legs = [[] for _ in g.vertices]
+    for l in g.legs:
+        legs[l.vertex].append((rename(l.label, l.label), l.psi))
+    return [(v.genus, v.kappa, tuple(sorted(ls))) for v, ls in zip(g.vertices, legs)]
+
+
+def _reference_intern(cols):
+    ranking = {c: i for i, c in enumerate(sorted(set(cols)))}
+    return [ranking[c] for c in cols]
+
+
+def _reference_refine(cols, adj):
+    while True:
+        new = _reference_intern([
+            (cols[v], tuple(sorted((cols[u], pv, pu) for u, pv, pu in nbrs)))
+            for v, nbrs in enumerate(adj)
+        ])
+        if len(set(new)) == len(set(cols)):
+            return new
+        cols = new
+
+
+def _reference_encode(records, edges, order):
+    pos = {v: i for i, v in enumerate(order)}
+    placed = []
+    for e in edges:
+        a = (pos[e[0].vertex], e[0].psi)
+        b = (pos[e[1].vertex], e[1].psi)
+        placed.append((a, b) if a <= b else (b, a))
+    return (tuple(records[v] for v in order), tuple(sorted(placed)))
+
+
+def reference_canonical_order(g, rename=None):
+    """(encoding, vertex order, leaf count) of the minimal encoding of
+    ``g`` with its labels renamed by ``rename``, by the full search."""
+    records = _reference_records(g, rename)
+    loops = [[] for _ in records]
+    adj = [[] for _ in records]
+    for a, b in g.edges:
+        if a.vertex == b.vertex:
+            loops[a.vertex].append((a.psi, b.psi))  # ends are stored sorted
+        else:
+            adj[a.vertex].append((b.vertex, a.psi, b.psi))
+            adj[b.vertex].append((a.vertex, b.psi, a.psi))
+    valence = _valences_and_dimensions(g)[0]
+    best: list = [None, None, 0]
+
+    def rec(cols):
+        classes = defaultdict(list)
+        for v, c in enumerate(cols):
+            classes[c].append(v)
+        multi = [c for c in sorted(classes) if len(classes[c]) > 1]
+        if not multi:
+            order = [classes[c][0] for c in sorted(classes)]
+            enc = _reference_encode(records, g.edges, order)
+            if best[0] is None or enc < best[0]:
+                best[:] = enc, order, 1
+            elif enc == best[0]:
+                best[2] += 1
+            return
+        target = multi[0]
+        for v in classes[target]:
+            marked = [(c, 0 if u == v else 1) for u, c in enumerate(cols)]
+            rec(_reference_refine(_reference_intern(marked), adj))
+
+    initial = [r + (tuple(sorted(lp)), val) for r, lp, val in zip(records, loops, valence)]
+    rec(_reference_refine(_reference_intern(initial), adj))
+    return tuple(best)
+
+
+def reference_automorphism_count(g):
+    count = reference_canonical_order(g)[2]
+    for m in Counter(g.edges).values():
+        count *= math.factorial(m)
+    return count * 2 ** sum(a == b for a, b in g.edges)

@@ -27,7 +27,13 @@ from tautrel.graphs import (
 )
 from tautrel.gwi import parse_graph
 
-from conftest import random_disconnected_graph, random_stable_graph, small_strata
+from conftest import (
+    random_disconnected_graph,
+    random_stable_graph,
+    reference_automorphism_count,
+    reference_canonical_order,
+    small_strata,
+)
 
 EX = "<1 2 e0>_0 <3 4 e1>_0 <e0 e1>_1"
 
@@ -193,6 +199,19 @@ def test_canonical_search_golden():
         digest.update(repr((_canonical_order(g), orbits, sort_key(g))).encode())
     assert len(corpus) == 750
     assert digest.hexdigest() == "f926b4e96e033b18110e9b677fa0701658293bc7f78d92abe3171439e793826c"
+
+
+def test_canonical_search_matches_full_search():
+    # a discrete initial colouring ends the search at its one leaf; the
+    # result is the full search's, with and without a label merge
+    rng = random.Random(23)
+    corpus = small_strata() + [random_stable_graph(rng) for _ in range(300)]
+    for g in corpus:
+        labels = g.external_labels()
+        merge = {p: labels[0] for p in labels}
+        for rename in (None, merge):
+            assert _canonical_order(g, rename) == reference_canonical_order(g, rename), (g, rename)
+        assert automorphism_count(g) == reference_automorphism_count(g), g
 
 
 def _brute_force_automorphisms(g: DecoratedGraph) -> int:

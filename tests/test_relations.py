@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import tautrel.graphs as graphs_module
 import tautrel.relations as relations_module
 from tautrel.echelon import Echelon
 from tautrel.graphs import (
@@ -39,9 +40,11 @@ from tautrel.relations import (
     induce_by_gluing,
     psi_free_expansion,
     to_automorphism_convention,
+    wdvv_expand,
     wdvv_relations,
 )
 from tautrel.solver import find_equations
+from tautrel.strata import stable_graphs
 from tautrel.sums import FormalSum
 
 from conftest import _apply_split, random_disconnected_graph, random_stable_graph, small_strata
@@ -279,12 +282,58 @@ def test_wdvv_relation_coefficient_sums_vanish(registry):
 
 
 def test_wdvv_relations_read_slots_once(monkeypatch):
+    # the one slot read is the split table's, and a second call reads none
     host = parse_graph("<1 2 3 4 e0>_0 <5 e0>_1")
     expected = wdvv_relations(host, 0)
     calls = []
+    monkeypatch.setattr(graphs_module, "_slots", lambda g: calls.append(g) or _slots(g))
     monkeypatch.setattr(relations_module, "_slots", lambda g: calls.append(g) or _slots(g))
+    graphs_module._vertex_splits.cache_clear()
     assert wdvv_relations(host, 0) == expected and len(expected) == 10
     assert calls == [host]
+    assert wdvv_relations(host, 0) == expected
+    assert calls == [host]
+
+
+def test_wdvv_expand_refuses_input_outside_its_contract():
+    leg = lambda k: ("leg", k)
+    with pytest.raises(ValueError, match="genus 0"):
+        wdvv_expand(parse_graph("<1 2 3 4>_1"), 0, (leg(0), leg(1)), (leg(2), leg(3)))
+    for text, pair_a, pair_b in [
+        ("<1 2 3 4 5>_0", (leg(0), leg(9)), (leg(2), leg(3))),  # no leg 9
+        ("<1 2 e0>_0 <3 4 e0>_0", (leg(0), leg(1)), (leg(2), ("end", (0, 0)))),  # leg 2 is on vertex 1
+        ("<1 2 3 4 5>_0", (leg(0), leg(1)), (leg(1), leg(3))),  # the pairs overlap
+    ]:
+        with pytest.raises(ValueError, match="disjoint slots of vertex 0"):
+            wdvv_expand(parse_graph(text), 0, pair_a, pair_b)
+
+
+def test_wdvv_expand_matches_linked_splits():
+    # the split table, read for one pair of pairs, against the splits
+    # built with those pairs pinned to their sides
+    rng = random.Random(41)
+    checked = 0
+    for g in small_strata() + [random_stable_graph(rng) for _ in range(200)]:
+        for v, slots in enumerate(_slots(g)):
+            if g.vertices[v].genus != 0 or len(slots) < 4:
+                continue
+            for a, b, c, d in itertools.combinations([s for s, _ in slots], 4):
+                expected = FormalSum([(t, 1) for t in _linked_splits(g, v, slots, (0, 0), (a, c), (b, d))])
+                assert wdvv_expand(g, v, (a, c), (b, d)) == expected, (g, v)
+                checked += 1
+    assert checked > 100
+
+
+def test_wdvv_after_stable_graphs_builds_and_searches_nothing(monkeypatch):
+    # the hosts' split tables are the ones the enumeration built
+    stable_graphs.cache_clear()
+    stable_graphs(0, 6, 2)
+    calls = []
+    for module in (graphs_module, relations_module):
+        monkeypatch.setattr(module, "_rewire", lambda *a, **k: calls.append("_rewire"))
+    monkeypatch.setattr(graphs_module, "_canonical_order", lambda *a: calls.append("_canonical_order"))
+    assert len(_generate_wdvv(0, 6, 2)) > 0
+    assert calls == []
 
 
 def test_relations_without_a_file_fingerprint_only_to_deduplicate(monkeypatch):

@@ -429,6 +429,25 @@ def test_normal_coords_match_reference():
     assert registry.normal_coords(terms) == registry.normal_coords([(kept, Fraction(2))]) != {}
 
 
+def test_normal_coords_lift_rational_images():
+    # an image with coefficients 1/2 and 1/3 is lifted in integers scaled
+    # by 6 and divided once per coordinate: the same values as reducing
+    # the whole image term by term, still Fraction or LinForm
+    registry = RelationRegistry()
+
+    def image(graph):
+        return [(t, c / 2) for t, c in apply_r(FormalSum.single(graph), 1).items()] + [(graph, Fraction(1, 3))]
+
+    for name, e, _ in _image_cases():
+        items = list(e.items())
+        whole = [(t, coeff * c) for graph, coeff in items for t, c in image(graph)]
+        kind = LinForm if isinstance(e, SymbolicSum) else Fraction
+        for allow in (False, True):
+            lifted = _outcome(lambda: registry.normal_coords(items, allow, image))
+            assert lifted == _outcome(lambda: reference_normal_coords(registry, whole, allow)), (name, allow)
+            assert isinstance(lifted, str) or lifted and all(type(x) is kind for x in lifted.values())
+
+
 def test_solver_uses_no_private_relations_or_graphs_name():
     # the coordinate-key format and the refusal rule stay behind relations
     tree = ast.parse(Path(solver.__file__).read_text())
@@ -463,14 +482,14 @@ def test_find_refuses_negative_lmax():
 
 
 def test_symmetrized_find_searches_each_class_once(registry):
-    # the orbit partition, the r_1 image and filter_trivial share one
-    # memoised relabelling-orbit search per class
+    # the orbit partition and the r_1 image share one memoised
+    # relabelling-orbit search per class; filter_trivial reads none
     _relabelling_orbit.cache_clear()
     report = find_equations(0, 6, 2, registry, decorations="psi")
     info = _relabelling_orbit.cache_info()
     classes = sum(len(c.terms()) for c in report.classes)
     assert info.misses == classes == 281
-    assert info.hits == 2 * classes
+    assert info.hits == classes
 
 
 @pytest.mark.parametrize("ambient, classes", [((0, 6, 2), 281), ((1, 4, 2), 106)])

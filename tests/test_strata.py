@@ -5,14 +5,15 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tautrel.graphs import DecoratedGraph, End, Leg, Vertex, canonicalize, sort_key, symmetrize
+from tautrel.graphs import DecoratedGraph, End, Leg, Vertex, canonicalize, is_valid, sort_key, symmetrize
 from tautrel.gwi import format_graph
-from tautrel.strata import _one_edge_degenerations, enumerate_classes, orbits
+from tautrel.strata import _one_edge_degenerations, enumerate_classes, orbits, stable_graphs
 from tautrel.sums import FormalSum
 
 from conftest import _apply_split, random_stable_graph, small_strata
@@ -98,9 +99,9 @@ def test_unknown_symmetrize_points_refused_outside_codimension_range():
     assert enumerate_classes(0, 5, 9, symmetrize_points={1, 5}) == []
 
 
-def _split_with_edge(g, v, g1, g2, side_of):
+def _split_with_edge(g, v, g1, g2, k1, k2, side_of):
     split = _apply_split(
-        g, v, g1, g2, g.vertices[v].kappa, (), side_of,
+        g, v, g1, g2, k1, k2, side_of,
         (Leg(0, -1, 0), Leg(0, -2, 0)),
     )
     # replace the two placeholder legs by a connecting edge
@@ -112,7 +113,9 @@ def _split_with_edge(g, v, g1, g2, side_of):
 
 
 def _one_edge_degenerations_unpruned(g):
-    """Reference: every one-edge degeneration built, then filtered."""
+    """Reference: every one-edge degeneration built, then filtered; of
+    each split and its mirror only the one keeping v's first slot at v
+    (with no slots, the smaller genus) is kept, canonicalised."""
     out = []
     for v in range(g.n_vertices):
         vert = g.vertices[v]
@@ -120,14 +123,23 @@ def _one_edge_degenerations_unpruned(g):
             verts = list(g.vertices)
             verts[v] = Vertex(vert.genus - 1, vert.kappa)
             edges = list(g.edges) + [(End(v, 0), End(v, 0))]
-            out.append(DecoratedGraph(tuple(verts), g.legs, tuple(edges)))
+            out.append(canonicalize(DecoratedGraph(tuple(verts), g.legs, tuple(edges))))
         slots = [("leg", k) for k, leg in enumerate(g.legs) if leg.vertex == v]
         slots += [("end", e) for e in g.ends_at(v)]
+        first = slots[0] if slots else None  # the first of the vertex's slots
         for g1 in range(vert.genus + 1):
+            if first is None and g1 > vert.genus - g1:
+                continue
             for sides in itertools.product((0, 1), repeat=len(slots)):
-                split = _split_with_edge(g, v, g1, vert.genus - g1, dict(zip(slots, sides)))
-                if all(split.is_stable_vertex(u) for u in range(split.n_vertices)):
-                    out.append(split)
+                side_of = dict(zip(slots, sides))
+                if first is not None and side_of[first] != 0:
+                    continue
+                for kappa_sides in itertools.product((0, 1), repeat=len(vert.kappa)):
+                    k1 = tuple(a for a, s in zip(vert.kappa, kappa_sides) if s == 0)
+                    k2 = tuple(a for a, s in zip(vert.kappa, kappa_sides) if s == 1)
+                    split = _split_with_edge(g, v, g1, vert.genus - g1, k1, k2, side_of)
+                    if is_valid(split):
+                        out.append(canonicalize(split))
     return out
 
 
@@ -135,7 +147,20 @@ def test_pruned_degenerations_match_reference():
     rng = random.Random(5)
     graphs = small_strata() + [random_stable_graph(rng) for _ in range(200)]
     for graph in graphs:
-        assert _one_edge_degenerations(graph) == _one_edge_degenerations_unpruned(graph), graph
+        assert Counter(_one_edge_degenerations(graph)) == Counter(_one_edge_degenerations_unpruned(graph)), graph
+
+
+def test_stable_graphs_golden():
+    # the byte-exact stable graphs of five genus-2 and genus-3 ambients
+    # with at most two legs, at every edge count; (2,0) and (3,0) start
+    # from a vertex with no slots, which keeps the smaller genus of a split
+    digest = hashlib.sha256()
+    for g, n in [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]:
+        for e in range(3 * g - 3 + n + 1):
+            digest.update(("%d %d %d\n" % (g, n, e)).encode())
+            for c in stable_graphs(g, n, e):
+                digest.update((format_graph(c) + "\n").encode())
+    assert digest.hexdigest() == "a900b0b5950330ba60d07007dee3c4c0750e3799dc567e2e0e41975488378067"
 
 
 def test_enumeration_golden():
