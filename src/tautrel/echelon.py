@@ -3,10 +3,10 @@
 A row is a mapping {column: coefficient}; columns are any sortable
 keys and coefficients are exact rationals, ``int`` when integral,
 ``Fraction`` otherwise.  ``reduce`` turns each integral coefficient
-of an incoming row into its numerator once, and ``add`` divides a
-row by its pivot only when the pivot is not 1 or -1, so integral rows
-are reduced in int arithmetic; an integral value may stay a
-``Fraction`` once a non-integral one has entered its row.
+of an incoming row into its numerator once, ``add`` divides a row by
+its pivot only when the pivot is not 1 or -1, and every entry that
+scaling or elimination leaves integral is stored as its numerator, so
+integral rows are reduced in int arithmetic.
 ``nullspace`` returns ``Fraction`` entries.  The reduced row echelon
 form of a row space is unique, so the stored rows do not depend on
 the order in which rows were added.
@@ -51,9 +51,11 @@ class Echelon:
             return False
         col = min(row)
         pivot = row[col]
-        if pivot != 1:
-            inv = -1 if pivot == -1 else Fraction(1) / pivot
-            row = {c: x * inv for c, x in row.items()}
+        if pivot == -1:
+            row = {c: -x for c, x in row.items()}
+        elif pivot != 1:
+            inv = Fraction(1) / pivot
+            row = {c: _exact(x * inv) for c, x in row.items()}
         for prow in self._rows.values():
             if col in prow:
                 _subtract(prow, prow[col], row)
@@ -87,6 +89,11 @@ def _subtract(target: dict, f, row: dict) -> None:
     for c, x in row.items():
         y = target.get(c, 0) - f * x
         if y:
-            target[c] = y
+            target[c] = _exact(y)
         else:
             del target[c]
+
+
+def _exact(x):
+    """``x`` as an ``int`` when integral."""
+    return x.numerator if x.denominator == 1 else x

@@ -570,6 +570,21 @@ def _relabelling_orbit(g: DecoratedGraph, points: tuple[int, ...]):
     return enc, tuple(l.label for l in sorted(g.legs, key=lambda l: (pos[l.vertex], l.psi, l.label)))
 
 
+def _orbit_size(g: DecoratedGraph, points: tuple[int, ...]) -> int:
+    """The number of isomorphism classes that permuting the labels
+    ``points`` of ``g`` makes: |points|! over the stabiliser.
+
+    The vertex automorphisms of ``g`` with ``points`` merged (the merged
+    search's leaf count), each with every permutation of the merged legs
+    of one vertex and psi power, map onto the stabiliser; the kernel is
+    the vertex automorphisms of ``g`` itself, which are only the
+    identity when the merged graph has no other."""
+    merged = _canonical_order(g, {p: points[0] for p in points})[2]
+    own = _canonical_order(g)[2] if merged > 1 else 1
+    ways = Counter((l.vertex, l.psi) for l in g.legs if l.label in points)
+    return math.factorial(len(points)) * own // (merged * math.prod(map(math.factorial, ways.values())))
+
+
 @lru_cache(maxsize=None)
 def sort_key(g: DecoratedGraph) -> str:
     """Deterministic total order on graphs up to isomorphism

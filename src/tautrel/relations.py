@@ -29,13 +29,19 @@ make, and its expansion is reduced once per such class and memoised.
 ``RelationRegistry.normal_coords`` is the one coordinate engine.  It
 reduces the image of a sum under a map that commutes with renaming
 labels (the identity, or an operator r_l): the terms fall into
-relabelling classes by the orbits' memoised key, the map runs on the
-first term of each, and every member renames that image's components by
-the permutation its renaming induces on their labels.  The identity
-has no image to lift, so under it every term is its own class.  Each
-class's image coefficients are scaled by their common denominator, so
-the members' coordinates sum as integers and are divided once per
-output coordinate.  A refusal reduces the merged image term by term in
+relabelling classes by the orbits' memoised key and the map runs on the
+first term of each.  A class that is a whole orbit of more than one
+member with one coefficient, as in a symmetrized find, is reduced once:
+each image component's coordinates are summed over the permutations of
+its labels inside its table, from the orbit sums of the table's classes,
+and spread over the ways to choose its labels.  That is exact on a
+complete table, where a relabelled class expands, modulo the relations,
+to the relabelled expansion; a class that would read an incomplete
+table is lifted like any other.  Every other member renames the image's
+components by the permutation its renaming induces on their labels.
+Each class's image coefficients are scaled by their common denominator,
+so the coordinates sum as integers and are divided once per output
+coordinate.  A refusal reduces the merged image term by term in
 sort_key order: the first term lacking data refuses, whatever the input
 order, and a lacking term that cancels in the merge does not.
 
@@ -66,6 +72,7 @@ from .graphs import (
     Leg,
     Vertex,
     _kappa_splits,
+    _orbit_size,
     _relabelling_orbit,
     _rewire,
     _side_assignments,
@@ -78,7 +85,7 @@ from .graphs import (
     is_valid,
     sort_key,
 )
-from .strata import enumerate_classes
+from .strata import enumerate_classes, orbits
 from .sums import FormalSum, SymbolicSum, _GraphSum
 
 
@@ -374,6 +381,22 @@ class _Table:
         self.incomplete = False
         self.index = {g: i for i, g in enumerate(classes)}
         self.echelon = Echelon()
+        self._orbits: dict = {}
+
+    def label_orbits(self, free: int):
+        """Each class's orbit number under permuting the labels 1..free,
+        and per orbit its size and the remainder of the sum of its
+        classes; memoised per label count."""
+        if free not in self._orbits:
+            orbit_of = [0] * len(self.classes)
+            sums = []
+            for o, group in enumerate(orbits(self.classes, range(1, free + 1))):
+                cols = [self.index[graph] for graph in group]
+                for i in cols:
+                    orbit_of[i] = o
+                sums.append((len(cols), list(self.echelon.reduce(dict.fromkeys(cols, 1)).items())))
+            self._orbits[free] = orbit_of, sums
+        return self._orbits[free]
 
 
 class NormalForm:
@@ -449,6 +472,9 @@ class RelationRegistry:
         self._extra: dict[tuple[int, int, int], list[FormalSum]] = {}
         # (normalised component, allow_incomplete) -> (genus, codim), coords
         self._factors: dict[tuple[DecoratedGraph, bool], tuple] = {}
+        # (normalised component, added labels) -> (genus, codim), coords
+        # summed over the other labels, for complete tables only
+        self._orbit_sums: dict[tuple[DecoratedGraph, int], tuple] = {}
 
     # -- relation generation -------------------------------------------
 
@@ -601,11 +627,13 @@ class RelationRegistry:
         are (graph, coefficient) pairs in any order, with any
         coefficient supporting addition and Fraction scaling;
         ``image(graph)`` gives (graph, Fraction) pairs and must commute
-        with renaming external labels, fixing every label it adds."""
+        with renaming external labels, fixing every label it adds.  A
+        whole orbit with one coefficient takes the orbit route only when
+        the labels the image adds lie above the sum's labels and every
+        table it reads is complete; the result is the same."""
         classes: dict = {}
         for graph, coeff in terms:
-            # the identity has nothing to lift: each term is its own class
-            key, slots = (graph, ()) if image is None else _relabelling_orbit(graph, graph.external_labels())
+            key, slots = _relabelling_orbit(graph, graph.external_labels())
             classes.setdefault(key, []).append((graph, slots, coeff))
         renamed: dict = {}  # (normalised component, permutation) -> normalised component
 
@@ -626,7 +654,7 @@ class RelationRegistry:
         vectors: dict = {}
         try:
             for members in classes.values():
-                rep, rep_slots, _ = members[0]
+                rep, rep_slots, rep_coeff = members[0]
                 split = []
                 for term, c in image_of(rep):
                     term = canonicalize(term)
@@ -635,6 +663,12 @@ class RelationRegistry:
                 # scaled to integers, so the members multiply and sum ints
                 d = math.lcm(*(c.denominator for _, c in split))
                 split = [(comps, int(c * d)) for comps, c in split]
+                if _whole_orbit(members):
+                    # the members are |orbit| / |points|! of the sum over S_points
+                    points = rep.external_labels()
+                    vec = vectors.setdefault((rep_coeff, d * math.factorial(len(points)) // len(members)), {})
+                    if self._orbit_coords(split, points, allow_incomplete, vec):
+                        continue
                 for _, slots, coeff in members:
                     sigma = dict(zip(rep_slots, slots))
                     vec = vectors.setdefault((coeff, d), {})
@@ -668,6 +702,76 @@ class RelationRegistry:
                 x = coeff * Fraction(x, d)
                 out[key] = out[key] + x if key in out else x
         return {k: c for k, c in out.items() if c}
+
+    def _orbit_coords(self, split, points, allow_incomplete: bool, vec: dict) -> bool:
+        """Add to ``vec`` the coordinates of the image ``split`` (lists of
+        (labels, normalised component) with int coefficients) summed
+        over every permutation of its sorted ``points``; False, adding
+        nothing, when a table it reads is incomplete or a label the
+        image adds is not above ``points``.
+
+        Each term sums over the ordered choices of the label sets its
+        components take from ``points``; a component's sum over its own
+        labels is its ``_orbit_sum`` with the labels renamed, since
+        normalising keeps the label order and the added labels last."""
+        chosen = []
+        for comps, c in split:
+            # an empty expansion makes the term zero before any table can refuse
+            if not all(psi_free_expansion(comp) for _, comp in comps):
+                continue
+            blocks = []
+            for labels, comp in comps:
+                added = tuple(a for a in labels if a not in points)
+                if added and added[0] < points[-1]:
+                    return False
+                summed = self._orbit_sum(comp, len(added), allow_incomplete)
+                if summed is None:
+                    return False
+                blocks.append((len(labels) - len(added), added, summed))
+            chosen.append((blocks, c))
+        for blocks, c in chosen:
+            sizes = [size for size, _, _ in blocks]
+            c *= math.factorial(len(points) - sum(sizes))  # the points no component carries
+            for parts in _ordered_partitions(points, sizes):
+                # the added labels are above every point, so each label tuple is sorted
+                factors = [
+                    [((g, part + added, k, b), x) for b, x in coords]
+                    for part, (_, added, ((g, k), coords)) in zip(parts, blocks)
+                ]
+                for combo in itertools.product(*factors):
+                    key = tuple(sorted(part for part, _ in combo))
+                    vec[key] = vec.get(key, 0) + c * math.prod(x for _, x in combo)
+        return True
+
+    def _orbit_sum(self, comp: DecoratedGraph, added: int, allow_incomplete: bool):
+        """(genus, codimension) and the sorted (class index, coefficient)
+        pairs of the sum of the coordinates of ``comp`` over every
+        permutation of its labels 1..m-added, or None when its table is
+        incomplete; memoised on success.
+
+        With psi_free_expansion(comp) = sum a_j f_j, the sum is
+        sum a_j (m-added)!/|orbit of f_j| times the remainder of the
+        orbit sum of f_j, since a permuted component expands, modulo the
+        relations a complete table holds, to the permuted expansion."""
+        key = (comp, added)
+        if key not in self._orbit_sums:
+            amb = (comp.total_genus(), len(comp.legs), comp.codimension())
+            table = self._table(*amb, allow_incomplete=allow_incomplete)
+            if table.incomplete:
+                return None
+            free = amb[1] - added
+            orbit_of, per_orbit = table.label_orbits(free)
+            weights: dict = {}
+            for i, a in _expansion_row(((comp, 1),), table.index, amb).items():
+                o = orbit_of[i]
+                weights[o] = weights.get(o, 0) + a * (math.factorial(free) // per_orbit[o][0])
+            acc: dict = {}
+            for o, w in weights.items():
+                for b, x in per_orbit[o][1]:
+                    acc[b] = acc.get(b, 0) + w * x
+            coords = sorted((b, x.numerator if x.denominator == 1 else x) for b, x in acc.items() if x)
+            self._orbit_sums[key] = ((amb[0], amb[2]), coords)
+        return self._orbit_sums[key]
 
     def _component_coords(self, comp: DecoratedGraph, allow_incomplete: bool):
         """(genus, codimension) and the sorted (class index, coefficient)
@@ -726,6 +830,31 @@ class RelationRegistry:
             basis=tuple(c for i, c in enumerate(table.classes) if i not in pivots),
             rref_rows=tuple(tuple((c, Fraction(x)) for c, x in sorted(row.items())) for _, row in rows),
         )
+
+
+def _whole_orbit(members) -> bool:
+    """True iff the (graph, slots, coefficient) ``members`` of one
+    relabelling class are more than one graph, pairwise distinct, share
+    one coefficient and make up the whole orbit."""
+    rep = members[0][0]
+    return (
+        len(members) > 1
+        and len({coeff for _, _, coeff in members}) == 1
+        and len({canonicalize(graph) for graph, _, _ in members}) == len(members)
+        and len(members) == _orbit_size(rep, rep.external_labels())
+    )
+
+
+def _ordered_partitions(points: tuple, sizes):
+    """Every tuple of disjoint subsets of the sorted ``points`` with the
+    given sizes, each subset a sorted tuple."""
+    if not sizes:
+        yield ()
+        return
+    for first in itertools.combinations(points, sizes[0]):
+        rest = tuple(p for p in points if p not in first)
+        for tail in _ordered_partitions(rest, sizes[1:]):
+            yield (first,) + tail
 
 
 def _expansion_row(terms, index, ambient) -> dict:

@@ -8,9 +8,11 @@ ambient contributes one linear condition), solve the exact system, and
 split the nullspace into the part that reduces to zero against the
 known relations (combinations of inductive data) and new candidates.
 
-Each operator runs once per relabelling class of terms; the registry's
-coordinate engine lifts that image to the other members, exactly,
-because relabelling commutes with the operators (see invariance_system).
+Each operator runs once per relabelling class of terms, because
+relabelling commutes with the operators (see invariance_system).  The
+registry's coordinate engine reduces a symmetrized element's whole
+orbits once each, summed over label orbits inside each target table,
+and lifts the image to the members of any other class, exactly.
 """
 
 from __future__ import annotations
@@ -110,8 +112,11 @@ def invariance_system(
     terms of E.  The image of a member sigma G of the class of G is
     sigma r_l(G), as sigma fixes the two new labels (the smallest
     outside the labels of E), so the engine renames the components of
-    r_l(G) by sigma: the same rational sums as reducing the whole
-    image, from no graph of it.
+    r_l(G) by sigma; when the class is the whole orbit of G with one
+    unknown, as in a symmetrized find, it instead sums each component's
+    coordinates over the permutations of its labels and the choices of
+    those labels.  Both give the same rational sums as reducing the
+    whole image, from no graph of it.
     """
     unknowns = E.unknowns()
     system = LinearSystem(max(unknowns, default=0))

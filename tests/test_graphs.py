@@ -13,6 +13,7 @@ from tautrel.graphs import (
     Leg,
     Vertex,
     _canonical_order,
+    _orbit_size,
     _relabelling_orbit,
     _valences_and_dimensions,
     automorphism_count,
@@ -339,6 +340,40 @@ def test_relabelling_orbit_pairs_slots(seed, connected, data):
     assert key == member_key
     sigma = dict(zip(rep_slots, member_slots))
     assert canonicalize(rep.relabel(sigma)) == member
+
+
+@pytest.mark.parametrize("ambient", [(0, 6, 2), (1, 4, 2), (2, 2, 2)])
+def test_orbit_size_is_the_orbit_group_size(ambient):
+    # the enumeration holds every class, so each orbits group is a whole orbit
+    from tautrel.strata import enumerate_classes, orbits
+
+    classes = enumerate_classes(*ambient, decorations="psi")
+    n = ambient[1]
+    for points in (tuple(range(1, n + 1)), tuple(range(1, n))):
+        for group in orbits(classes, points):
+            assert all(_orbit_size(g, points) == len(group) for g in group), (ambient, points)
+
+
+def test_orbit_size_matches_brute_force_relabelling():
+    # graphs whose merged search has several leaves take the second,
+    # unmerged search; each is checked against all |points|! relabellings
+    rng = random.Random(31)
+    corpus = small_strata() + [random_stable_graph(rng, max_half_edges=7) for _ in range(200)]
+    corpus += [random_disconnected_graph(rng, max_half_edges=4) for _ in range(50)]
+    checked = own = 0
+    for g in corpus:
+        labels = g.external_labels()
+        if not labels or len(labels) > 5:
+            continue
+        for points in (labels, labels[1:]):
+            if not points:
+                continue
+            merged = _canonical_order(g, {p: points[0] for p in points})[2]
+            images = {canonicalize(g.relabel(dict(zip(points, perm)))) for perm in itertools.permutations(points)}
+            assert _orbit_size(g, points) == len(images), (g, points)
+            checked += merged > 1
+            own += _canonical_order(g)[2] > 1
+    assert checked >= 90 and own >= 10
 
 
 def test_normalised_components_match_subgraphs():

@@ -570,6 +570,15 @@ def test_table_echelons_store_ints(tmp_path):
             assert entries and all(type(x) is int for x in entries)
 
 
+def test_table_echelon_stores_integral_entries_as_ints(registry):
+    # the (0,7,3) table divides by pivots that are not 1 or -1: what
+    # stays integral after scaling or elimination is stored as an int
+    entries = [x for _, row in registry._table(0, 7, 3).echelon.rows() for x in row.values()]
+    fractions = [x for x in entries if type(x) is Fraction]
+    assert fractions and all(x.denominator > 1 for x in fractions)
+    assert all(type(x) in (int, Fraction) for x in entries) and len(fractions) < len(entries)
+
+
 def test_public_values_stay_fractions(registry):
     rb = registry.relation_basis(0, 6, 2)
     assert rb.rref_rows and all(type(x) is Fraction for row in rb.rref_rows for _, x in row)

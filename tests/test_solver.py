@@ -1,5 +1,7 @@
 import ast
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -10,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from tautrel import solver
-from tautrel.graphs import DecoratedGraph, _relabelling_orbit, symmetrize
+from tautrel.graphs import DecoratedGraph, _relabelling_orbit, canonicalize, symmetrize
 from tautrel.gwi import format_sum, parse_graph, parse_sum
 from tautrel.operators import apply_r
-from tautrel.relations import InductiveDataMissing, RelationRegistry
+from tautrel.relations import InductiveDataMissing, RelationRegistry, _expansion_row, psi_free_expansion
 from tautrel.solver import (
     LinearSystem,
     _image_coords,
@@ -26,6 +28,7 @@ from tautrel.solver import (
     operator_index_bound,
     solve_nullspace,
 )
+from tautrel.strata import orbits
 from tautrel.sums import FormalSum, LinForm, SymbolicSum
 
 from conftest import orbit_index_map, random_disconnected_graph, reference_normal_coords
@@ -448,6 +451,119 @@ def test_normal_coords_lift_rational_images():
             assert isinstance(lifted, str) or lifted and all(type(x) is kind for x in lifted.values())
 
 
+@pytest.mark.parametrize("ambient, sample", [((0, 5, 2), None), ((1, 3, 2), None), ((0, 6, 2), 4)])
+def test_psi_expansion_commutes_with_relabelling(ambient, sample):
+    # the orbit route sums a component's coordinates over its labels from
+    # its one expansion: on a complete table the expansion of a relabelled
+    # class reduces like the relabelled expansion, though the two differ
+    g, n, k = ambient
+    registry = RelationRegistry()
+    table = registry._table(g, n, k)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    rng = random.Random(24)
+    differ = 0
+    for c in enumerate_classes(g, n, k, decorations="psi"):
+        for perm in perms if sample is None else rng.sample(perms, sample):
+            sigma = dict(zip(range(1, n + 1), perm))
+            moved = canonicalize(c.relabel(sigma))
+            renamed = [(canonicalize(f.relabel(sigma)), a) for f, a in psi_free_expansion(c)]
+            row = _expansion_row(renamed, table.index, ambient)
+            assert dict(registry._component_coords(moved, False)[1]) == table.echelon.reduce(row), (c, perm)
+            differ += row != _expansion_row(((moved, 1),), table.index, ambient)
+    assert differ
+
+
+def _symmetrized(g, n, k, decorations):
+    """The symmetrized general element of a find: each orbit's members
+    with one unknown times n!/|orbit|."""
+    groups = orbits(enumerate_classes(g, n, k, decorations=decorations), range(1, n + 1))
+    return general_element([FormalSum([(m, Fraction(math.factorial(n), len(o))) for m in o]) for o in groups])
+
+
+def _count_route(monkeypatch, registry):
+    """The results of the orbit route's calls on ``registry``."""
+    calls = []
+    route = RelationRegistry._orbit_coords
+
+    def counting(self, *args):
+        out = route(self, *args)
+        if self is registry:
+            calls.append(out)
+        return out
+
+    monkeypatch.setattr(RelationRegistry, "_orbit_coords", counting)
+    return calls
+
+
+@pytest.mark.parametrize("g, n, k, decorations", [
+    (0, 6, 2, "psi"), (0, 7, 2, "none"), (1, 3, 2, "psi"), (1, 4, 2, "psi"),
+])
+def test_orbit_route_matches_reference(monkeypatch, tmp_path, g, n, k, decorations):
+    # whole orbits with one coefficient each, on complete tables: the
+    # identity, r_1 and r_2 read the reference's coordinates from one
+    # reduction per orbit; (1,4,2) imports the genus-1 four-point equation
+    from tautrel.data_files import genus1_four_point_equation
+
+    registry = RelationRegistry(tmp_path)
+    if (g, n) == (1, 4):
+        registry.relations(1, 4, 2)
+        with (tmp_path / "g1n4k2.gwi").open("a") as fh:
+            fh.write(format_sum(genus1_four_point_equation()) + "\n")
+        registry = RelationRegistry(tmp_path)
+    E = _symmetrized(g, n, k, decorations)
+    calls = _count_route(monkeypatch, registry)
+    lifted = registry.normal_coords(E.items())
+    assert lifted and lifted == reference_normal_coords(registry, E.items())
+    assert calls and all(calls)
+    for l in (1, 2):
+        del calls[:]
+        lifted = _image_coords(E, l, registry)
+        assert lifted == reference_normal_coords(registry, apply_r(E, l).items()), l
+        assert all(calls) and (bool(calls) or not lifted), l
+
+
+def test_orbit_route_lifts_on_incomplete_tables(monkeypatch):
+    # (1,4,2) without the imported equation is incomplete: every whole
+    # orbit of its symmetrized element is lifted member by member
+    registry = RelationRegistry()
+    E = _symmetrized(1, 4, 2, "psi")
+    calls = _count_route(monkeypatch, registry)
+    lifted = registry.normal_coords(E.items(), allow_incomplete=True)
+    assert lifted == reference_normal_coords(registry, E.items(), True)
+    unknowns = {i for _, form in E.items() for i in form.coeffs}
+    multi = [i for i in unknowns if sum(i in form.coeffs for _, form in E.items()) > 1]
+    assert len(calls) == len(multi) == 18 and not any(calls)
+    assert not [key for key in registry._orbit_sums if key[0].total_genus() == 1 and len(key[0].legs) == 4]
+
+
+def test_partial_orbits_and_mixed_coefficients_are_lifted(monkeypatch):
+    # the route needs every member of an orbit with one coefficient
+    registry = RelationRegistry()
+    groups = orbits(enumerate_classes(0, 6, 2, decorations="psi"), range(1, 7))
+    big = [o for o in groups if len(o) >= 3]
+    partial = FormalSum([(m, Fraction(1)) for o in big for m in o[:-1]])
+    mixed = FormalSum([(m, Fraction(2 if i == 0 else 1)) for o in big for i, m in enumerate(o)])
+    calls = _count_route(monkeypatch, registry)
+    for e in (partial, mixed):
+        assert registry.normal_coords(e.items()) == reference_normal_coords(registry, e.items())
+        assert _image_coords(e, 1, registry) == reference_normal_coords(registry, apply_r(e, 1).items())
+    assert big and calls == []
+
+
+def test_orbit_route_needs_the_added_labels_last(monkeypatch):
+    # on labels 2..7 the identity takes the route, while r_1 adds the
+    # labels 1 and 8 and so lifts, as normalising would reorder label 1
+    registry = RelationRegistry()
+    shift = {a: a + 1 for a in range(1, 7)}
+    e = SymbolicSum((g.relabel(shift), form) for g, form in _symmetrized(0, 6, 2, "psi").items())
+    calls = _count_route(monkeypatch, registry)
+    assert registry.normal_coords(e.items()) == reference_normal_coords(registry, e.items())
+    assert calls and all(calls)
+    del calls[:]
+    assert _image_coords(e, 1, registry) == reference_normal_coords(registry, apply_r(e, 1).items())
+    assert calls and not any(calls)
+
+
 def test_solver_uses_no_private_relations_or_graphs_name():
     # the coordinate-key format and the refusal rule stay behind relations
     tree = ast.parse(Path(solver.__file__).read_text())
@@ -481,20 +597,38 @@ def test_find_refuses_negative_lmax():
         find_equations(0, 5, 1, RelationRegistry(), lmax=-1)
 
 
-def test_symmetrized_find_searches_each_class_once(registry):
-    # the orbit partition and the r_1 image share one memoised
-    # relabelling-orbit search per class; filter_trivial reads none
+def _searched(report, registry):
+    """The (graph, merged labels) pairs a find searches: each class of E
+    with all its labels, and each class of every table the orbit route
+    partitions, with the labels 1..free of each partition."""
+    classes = {(g, g.external_labels()) for c in report.classes for g, _ in c.terms()}
+    tables = {
+        (f, tuple(range(1, free + 1)))
+        for table in registry._tables.values() for free in table._orbits for f in table.classes
+    }
+    return classes, tables
+
+
+def test_symmetrized_find_searches_each_class_once():
+    # the orbit partition, the r_1 image and filter_trivial share one
+    # memoised relabelling-orbit search per class of E; the orbit route
+    # adds one per class of each table it partitions, per label count,
+    # and the (0,6,2) table's classes under S_6 are E's psi-free classes
     _relabelling_orbit.cache_clear()
+    registry = RelationRegistry()
     report = find_equations(0, 6, 2, registry, decorations="psi")
     info = _relabelling_orbit.cache_info()
-    classes = sum(len(c.terms()) for c in report.classes)
-    assert info.misses == classes == 281
-    assert info.hits == classes
+    classes, tables = _searched(report, registry)
+    assert (len(classes), len(tables), len(classes & tables)) == (281, 124, 105)
+    assert info.misses == len(classes | tables) == 300
+    assert info.hits == 2 * 281 + 105
 
 
 @pytest.mark.parametrize("ambient, classes", [((0, 6, 2), 281), ((1, 4, 2), 106)])
 def test_orbit_key_builds_no_graph_with_repeated_labels(monkeypatch, ambient, classes):
-    # the orbit key merges labels inside the search; no merged graph is built
+    # the orbit key merges labels inside the search; no merged graph is
+    # built, for the classes of E nor for the table classes the orbit
+    # route partitions (19 and 263 searches beyond E's)
     built = []
     post_init = DecoratedGraph.__post_init__
 
@@ -505,8 +639,11 @@ def test_orbit_key_builds_no_graph_with_repeated_labels(monkeypatch, ambient, cl
 
     monkeypatch.setattr(DecoratedGraph, "__post_init__", counting)
     _relabelling_orbit.cache_clear()
-    find_equations(*ambient, RelationRegistry(), decorations="psi")
-    assert _relabelling_orbit.cache_info().misses == classes
+    registry = RelationRegistry()
+    report = find_equations(*ambient, registry, decorations="psi")
+    own, tables = _searched(report, registry)
+    assert len(own) == classes
+    assert _relabelling_orbit.cache_info().misses == len(own | tables) == {281: 300, 106: 369}[classes]
     assert built and sum(built) == 0
 
 
