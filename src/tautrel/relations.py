@@ -30,8 +30,10 @@ make, and its expansion is reduced once per such class and memoised.
 reduces the image of a sum under a map that commutes with renaming
 labels (the identity, or an operator r_l): the terms fall into
 relabelling classes by the orbits' memoised key and the map runs on the
-first term of each.  A class that is a whole orbit of more than one
-member with one coefficient, as in a symmetrized find, is reduced once:
+first term of each.  The key merges the labels, so a class may hold
+graphs on several label sets of one size.  A class that is a whole
+orbit of more than one member on one label set with one coefficient,
+as in a symmetrized find, is reduced once:
 each image component's coordinates are summed over the permutations of
 its labels inside its table, from the orbit sums of the table's classes,
 and spread over the ways to choose its labels.  That is exact on a
@@ -65,7 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .echelon import Echelon
+from .echelon import Echelon, _exact
 from .graphs import (
     DecoratedGraph,
     End,
@@ -628,9 +630,10 @@ class RelationRegistry:
         coefficient supporting addition and Fraction scaling;
         ``image(graph)`` gives (graph, Fraction) pairs and must commute
         with renaming external labels, fixing every label it adds.  A
-        whole orbit with one coefficient takes the orbit route only when
-        the labels the image adds lie above the sum's labels and every
-        table it reads is complete; the result is the same."""
+        whole orbit on one label set with one coefficient takes the
+        orbit route only when the labels the image adds lie above its
+        labels and every table it reads is complete; the result is the
+        same."""
         classes: dict = {}
         for graph, coeff in terms:
             key, slots = _relabelling_orbit(graph, graph.external_labels())
@@ -710,10 +713,12 @@ class RelationRegistry:
         nothing, when a table it reads is incomplete or a label the
         image adds is not above ``points``.
 
-        Each term sums over the ordered choices of the label sets its
-        components take from ``points``; a component's sum over its own
-        labels is its ``_orbit_sum`` with the labels renamed, since
-        normalising keeps the label order and the added labels last."""
+        Every image term carries all of ``points``, as the image drops
+        no label, so each term sums over the ordered partitions of
+        ``points`` into the label sets its components take; a
+        component's sum over its own labels is its ``_orbit_sum`` with
+        the labels renamed, since normalising keeps the label order and
+        the added labels last."""
         chosen = []
         for comps, c in split:
             # an empty expansion makes the term zero before any table can refuse
@@ -730,9 +735,7 @@ class RelationRegistry:
                 blocks.append((len(labels) - len(added), added, summed))
             chosen.append((blocks, c))
         for blocks, c in chosen:
-            sizes = [size for size, _, _ in blocks]
-            c *= math.factorial(len(points) - sum(sizes))  # the points no component carries
-            for parts in _ordered_partitions(points, sizes):
+            for parts in _ordered_partitions(points, [size for size, _, _ in blocks]):
                 # the added labels are above every point, so each label tuple is sorted
                 factors = [
                     [((g, part + added, k, b), x) for b, x in coords]
@@ -769,7 +772,7 @@ class RelationRegistry:
             for o, w in weights.items():
                 for b, x in per_orbit[o][1]:
                     acc[b] = acc.get(b, 0) + w * x
-            coords = sorted((b, x.numerator if x.denominator == 1 else x) for b, x in acc.items() if x)
+            coords = sorted((b, _exact(x)) for b, x in acc.items() if x)
             self._orbit_sums[key] = ((amb[0], amb[2]), coords)
         return self._orbit_sums[key]
 
@@ -834,14 +837,18 @@ class RelationRegistry:
 
 def _whole_orbit(members) -> bool:
     """True iff the (graph, slots, coefficient) ``members`` of one
-    relabelling class are more than one graph, pairwise distinct, share
-    one coefficient and make up the whole orbit."""
+    relabelling class are more than one graph on the same labels,
+    pairwise distinct, share one coefficient and make up the whole
+    orbit.  The class key merges the labels, so graphs on other label
+    sets of the same size share it."""
     rep = members[0][0]
+    points = rep.external_labels()
     return (
         len(members) > 1
+        and all(graph.external_labels() == points for graph, _, _ in members)
         and len({coeff for _, _, coeff in members}) == 1
         and len({canonicalize(graph) for graph, _, _ in members}) == len(members)
-        and len(members) == _orbit_size(rep, rep.external_labels())
+        and len(members) == _orbit_size(rep, points)
     )
 
 

@@ -9,6 +9,8 @@ from tautrel.graphs import symmetrize
 from tautrel.relations import RelationRegistry
 from tautrel.sums import FormalSum
 
+from conftest import reference_normal_coords
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parents[1] / "src" / "tautrel" / "data" / "getzler_g1n4k2.gwi"
 
@@ -212,6 +214,20 @@ def test_reduce_reads_lines_as_one_sum_and_skips_indented_comments(tmp_path, cap
     code, out, _ = run(capsys, "reduce", str(one))
     assert code == 0
     assert run(capsys, "reduce", str(split)) == (0, out, "")
+
+
+def test_reduce_keeps_each_label_set(tmp_path, capsys):
+    # D(12|34) once on {1,2,3,4} and twice on {1,2,3,5}: reduce takes
+    # no label set for another, though the three terms share a size
+    text = "<1 2 e0>_0 <3 4 e0>_0 + <1 3 e0>_0 <2 5 e0>_0 + <1 5 e0>_0 <2 3 e0>_0"
+    f = tmp_path / "mixed.gwi"
+    f.write_text(text + "\n")
+    code, out, _ = run(capsys, "reduce", str(f))
+    assert code == 0
+    got = parse_sum(out.strip())
+    reg = RelationRegistry()
+    assert reference_normal_coords(reg, got.items()) == reference_normal_coords(reg, parse_sum(text).items())
+    assert {g.external_labels() for g, _ in got.items()} == {(1, 2, 3, 4), (1, 2, 3, 5)}
 
 
 def test_reduce_expresses_class_over_basis(tmp_path, capsys):

@@ -550,6 +550,19 @@ def test_partial_orbits_and_mixed_coefficients_are_lifted(monkeypatch):
     assert big and calls == []
 
 
+def test_orbit_route_needs_one_label_set(monkeypatch):
+    # the class key merges the labels, so these three terms on {1,2,3,4}
+    # and {1,2,3,5} share it and number the orbit size of D(12|34); they
+    # are not one orbit, and each keeps its own label set
+    registry = RelationRegistry()
+    e = parse_sum("<1 2 e0>_0 <3 4 e0>_0 + <1 3 e0>_0 <2 5 e0>_0 + <1 5 e0>_0 <2 3 e0>_0")
+    calls = _count_route(monkeypatch, registry)
+    coords = registry.normal_coords(e.items())
+    assert coords == reference_normal_coords(registry, e.items())
+    assert sorted(key[0][1] for key in coords) == [(1, 2, 3, 4), (1, 2, 3, 5)]
+    assert calls == []
+
+
 def test_orbit_route_needs_the_added_labels_last(monkeypatch):
     # on labels 2..7 the identity takes the route, while r_1 adds the
     # labels 1 and 8 and so lifts, as normalising would reorder label 1
